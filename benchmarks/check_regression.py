@@ -13,8 +13,9 @@ against ``benchmarks/baseline.json``:
 * **queries** — the worklist engine's solve-stage SMT query count is
   deterministic, so any increase beyond ``--threshold`` (default 25%) over
   the baseline fails the build.  A benchmark must also still issue fewer
-  queries than the *naive* engine did at baseline time, otherwise the
-  worklist scheduling has silently degenerated.
+  queries than the naive global-round sweep did when the baseline was
+  recorded (``naive_queries``), otherwise the worklist scheduling has
+  silently degenerated.
 * **wall-clock** — CI machines are noisy, so time only fails the build past
   ``--time-factor`` (default 4x) of the baseline.
 * a benchmark missing from the current report, or reported unsafe, fails.
@@ -52,17 +53,6 @@ section:
   searches on every benchmark (the whole point of the store),
 * the cold run's query count is gated against the baseline like the
   fixpoint queries.
-
-With ``--smt`` the engine-comparison report produced by
-``python -m repro bench smt`` is gated against the baseline's ``smt``
-section:
-
-* both engines must verify every benchmark with **byte-identical**
-  diagnostics and kappa solutions (``identical``),
-* the incremental engine must issue **strictly fewer** SAT searches
-  (``sat_calls``) than the fresh engine on every benchmark,
-* the incremental ``sat_calls`` count is gated against the baseline like
-  the fixpoint queries (it is deterministic).
 
 With ``--serve`` the load-generator report produced by
 ``python -m repro bench serve`` is gated against the baseline's ``serve``
@@ -248,38 +238,6 @@ def check_store(report: dict, baseline: dict, threshold: float) -> list:
     return failures
 
 
-def check_smt(report: dict, baseline: dict, threshold: float) -> list:
-    """Failures of the SMT engine-comparison report vs the baseline."""
-    failures = []
-    current = report.get("benchmarks", {})
-    for name, base in sorted(baseline.items()):
-        entry = current.get(name)
-        if entry is None:
-            failures.append(f"{name}: missing from the smt report")
-            continue
-        if not entry.get("safe", False):
-            failures.append(f"{name}: no longer verifies under both "
-                            "SMT modes")
-        if not entry.get("identical", False):
-            failures.append(
-                f"{name}: incremental and fresh engines disagree "
-                "(diagnostics or kappa solutions differ) — the context "
-                "layer is UNSOUND or incomplete, fix before merging")
-        fresh = entry.get("fresh", {}).get("sat_calls", 0)
-        incr = entry.get("incremental", {}).get("sat_calls", 0)
-        if fresh and incr >= fresh:
-            failures.append(
-                f"{name}: incremental engine issued {incr} SAT searches, "
-                f"not fewer than the fresh engine's {fresh}")
-        allowed = base["incremental_sat_calls"] * (1.0 + threshold)
-        if incr > max(allowed, base["incremental_sat_calls"] + 5):
-            failures.append(
-                f"{name}: incremental engine issued {incr} SAT searches, "
-                f"baseline {base['incremental_sat_calls']} "
-                f"(+{threshold:.0%} allowed)")
-    return failures
-
-
 def check_serve(report: dict, baseline: dict, time_factor: float) -> list:
     """Failures of the serve load-generator report vs the baseline."""
     failures = []
@@ -451,9 +409,6 @@ def main(argv=None) -> int:
     parser.add_argument("--modules", metavar="FILE", default=None,
                         help="also gate BENCH_modules.json against the "
                              "baseline's 'modules' section")
-    parser.add_argument("--smt", metavar="FILE", default=None,
-                        help="also gate BENCH_smt.json against the "
-                             "baseline's 'smt' section")
     parser.add_argument("--store", metavar="FILE", default=None,
                         help="also gate BENCH_store.json against the "
                              "baseline's 'store' section")
@@ -516,12 +471,6 @@ def main(argv=None) -> int:
             modules_report = json.load(f)
         failures.extend(check_modules(
             modules_report, baseline.get("modules", {}), args.threshold))
-
-    if args.smt is not None:
-        with open(args.smt) as f:
-            smt_report = json.load(f)
-        failures.extend(check_smt(
-            smt_report, baseline.get("smt", {}), args.threshold))
 
     if args.store is not None:
         with open(args.store) as f:

@@ -5,9 +5,9 @@ Subcommands:
 * ``check FILES...`` — check nanoTS source files (the classic mode); exits
   non-zero if any file fails to verify.  ``--format json`` emits structured
   diagnostics with stable error codes; ``--jobs N`` checks in parallel.
-* ``bench figure6|figure7|incremental|modules|smt`` — regenerate the
-  paper's evaluation tables, the edit-recheck and module-graph scenarios,
-  and the fresh-vs-incremental SMT engine comparison.
+* ``bench figure6|figure7|incremental|modules|store|serve|cache|obs|speed``
+  — regenerate the paper's evaluation tables and run the edit-recheck,
+  module-graph, store, serve, cache-fleet, tracing and speed scenarios.
 * ``serve`` — a newline-delimited JSON check/update/diagnostics/shutdown
   loop over stdin/stdout backed by an incremental workspace.
 * ``watch FILES...`` — re-check files on mtime change, printing per-edit
@@ -75,10 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="treat warnings as errors in the verdict")
     check.add_argument("--max-iterations", type=int, default=40, metavar="N",
                        help="liquid fixpoint iteration budget (default: 40)")
-    check.add_argument("--fixpoint", choices=("worklist", "naive"),
-                       default="worklist",
-                       help="fixpoint scheduler: dependency-directed worklist "
-                            "(default) or the naive global-round sweep")
     check.add_argument("--qualifiers", choices=("default", "harvested"),
                        default="default",
                        help="qualifier pool: built-ins plus harvested "
@@ -98,13 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="regenerate the paper's evaluation tables")
     bench.add_argument("table",
                        choices=("figure6", "figure7", "incremental",
-                                "modules", "smt", "store", "serve", "cache",
+                                "modules", "store", "serve", "cache",
                                 "obs", "speed"),
                        help="which table to regenerate (incremental replays "
                             "a scripted edit sequence per benchmark; modules "
                             "replays project edits over the module-split "
-                            "ports; smt compares the fresh-solver and "
-                            "incremental-context SMT engines; store measures "
+                            "ports; store measures "
                             "cold vs store-warm fresh-process re-checks; "
                             "serve load-tests the multi-tenant socket "
                             "server with concurrent editing clients; cache "
@@ -128,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: BENCH_fixpoint.json for figure6, "
                             "BENCH_incremental.json for incremental, in the "
                             "current directory, i.e. the repo root in CI)")
-    bench.add_argument("--no-compare", action="store_true",
-                       help="figure6: skip the naive-engine comparison run "
-                            "and the report dump")
     bench.add_argument("--clients", type=int, default=4, metavar="N",
                        help="serve: number of concurrent editing clients "
                             "(default: 4)")
@@ -288,7 +280,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         config_kwargs = dict(
             max_fixpoint_iterations=args.max_iterations,
-            fixpoint_strategy=args.fixpoint,
             warnings_as_errors=args.warnings_as_errors,
             qualifier_set=args.qualifiers,
             output_format=args.format,
@@ -574,14 +565,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             ok = all(row.safe and row.identical and row.jobs_identical
                      for row in rows)
             return EXIT_OK if ok else EXIT_UNSAFE
-        if args.table == "smt":
-            rows = bench.smt_mode_rows(names, programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.smt_report(rows),
-                "BENCH_smt.json", "smt", partial,
-                lambda: bench.format_smt(rows))
-            ok = all(row.safe and row.identical for row in rows)
-            return EXIT_OK if ok else EXIT_UNSAFE
         if args.table == "incremental":
             rows = bench.incremental_rows(names, programs_dir=programs_dir)
             _emit_bench_report(
@@ -590,22 +573,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 lambda: bench.format_incremental(rows))
             return EXIT_OK if all(row.safe for row in rows) else EXIT_UNSAFE
         if args.table == "figure6":
-            if args.no_compare:
-                rows = bench.figure6_rows(names, programs_dir=programs_dir)
-                if args.format == "json":
-                    print(json.dumps([row.to_dict() for row in rows],
-                                     indent=2))
-                else:
-                    print(bench.format_figure6(rows))
-                return EXIT_OK if all(row.safe for row in rows) else EXIT_UNSAFE
-            rows, comparisons = bench.figure6_with_comparison(
-                names, programs_dir=programs_dir)
+            rows = bench.figure6_rows(names, programs_dir=programs_dir)
             _emit_bench_report(
-                args, bench.fixpoint_report(rows, comparisons),
+                args, bench.fixpoint_report(rows),
                 "BENCH_fixpoint.json", "fixpoint", partial,
-                lambda: "\n".join([bench.format_figure6(rows), "",
-                                   bench.format_fixpoint_comparison(
-                                       comparisons)]))
+                lambda: bench.format_figure6(rows))
             return EXIT_OK if all(row.safe for row in rows) else EXIT_UNSAFE
         if args.format == "json":
             payload = [{"name": n, "loc": bench.count_loc(

@@ -23,18 +23,10 @@ run amortises a single solver (and its query cache) across all seven
 benchmarks — pass an explicit session to :func:`check_benchmark` to control
 the lifetime yourself.
 
-A Figure 6 run also reports the liquid-fixpoint engine's counters and a
-before/after comparison of the worklist scheduler against the reference
-naive global-round loop (:func:`figure6_with_comparison`); the machine
-readable report (:func:`fixpoint_report`) is what ``repro bench figure6``
-dumps as ``BENCH_fixpoint.json`` and what CI diffs against
+A Figure 6 run also reports the liquid-fixpoint engine's counters; the
+machine-readable report (:func:`fixpoint_report`) is what ``repro bench
+figure6`` dumps as ``BENCH_fixpoint.json`` and what CI diffs against
 ``benchmarks/baseline.json``.
-
-``repro bench smt`` (:func:`smt_mode_rows`) runs every port under both SMT
-engines — a fresh solver per query vs persistent assumption-based contexts
-— asserting byte-identical verdicts and reporting the SAT-search savings;
-the report lands in ``BENCH_smt.json`` and is gated against the baseline's
-``smt`` section.
 """
 
 from __future__ import annotations
@@ -117,6 +109,7 @@ class BenchmarkRow:
     errors: int
     safe: bool
     queries: int = 0            # SMT validity/sat queries issued for this file
+    queries_issued: int = 0     # fixpoint candidate queries (gated in CI)
     solve_rounds: int = 0       # fixpoint scheduler steps
     queries_pruned: int = 0     # candidates discharged without an SMT query
     cache_hits: int = 0         # solver-cache hits while checking this file
@@ -132,49 +125,10 @@ class BenchmarkRow:
             "errors": self.errors,
             "safe": self.safe,
             "queries": self.queries,
+            "queries_issued": self.queries_issued,
             "solve_rounds": self.solve_rounds,
             "queries_pruned": self.queries_pruned,
             "cache_hits": self.cache_hits,
-        }
-
-
-@dataclass
-class FixpointComparison:
-    """Per-benchmark before/after numbers: naive rounds vs the worklist."""
-
-    name: str
-    naive_queries: int
-    worklist_queries: int
-    naive_time_seconds: float
-    worklist_time_seconds: float
-    rounds: int
-    queries_pruned: int
-    cache_hits: int
-    safe: bool
-
-    @property
-    def query_reduction(self) -> float:
-        """Fraction of the naive engine's solve queries the worklist avoided."""
-        if self.naive_queries == 0:
-            return 0.0
-        return 1.0 - self.worklist_queries / self.naive_queries
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "naive": {
-                "queries": self.naive_queries,
-                "time_seconds": self.naive_time_seconds,
-            },
-            "worklist": {
-                "queries": self.worklist_queries,
-                "time_seconds": self.worklist_time_seconds,
-                "rounds": self.rounds,
-                "queries_pruned": self.queries_pruned,
-                "cache_hits": self.cache_hits,
-            },
-            "query_reduction": self.query_reduction,
-            "safe": self.safe,
         }
 
 
@@ -249,6 +203,7 @@ def check_benchmark(name: str, session: Optional[Session] = None,
                         time_seconds=result.time_seconds,
                         errors=len(result.errors), safe=result.ok,
                         queries=result.stats.queries if result.stats else 0,
+                        queries_issued=solve.queries_issued if solve else 0,
                         solve_rounds=solve.rounds if solve else 0,
                         queries_pruned=solve.queries_pruned if solve else 0,
                         cache_hits=result.stats.cache_hits if result.stats else 0)
@@ -263,103 +218,33 @@ def figure6_rows(names: Optional[List[str]] = None,
             for name in (names or BENCHMARKS)]
 
 
-def figure6_with_comparison(names: Optional[List[str]] = None,
-                            programs_dir: Optional[pathlib.Path] = None
-                            ) -> tuple:
-    """Run Figure 6 under both fixpoint strategies.
-
-    Returns ``(rows, comparisons)``: the worklist-engine benchmark rows plus
-    a per-benchmark :class:`FixpointComparison` against the naive
-    global-round engine.  Each strategy gets its own fresh session so the
-    query counts are not distorted by the other strategy's solver cache.
-    """
-    names = list(names or BENCHMARKS)
-    worklist = Session(CheckConfig(fixpoint_strategy="worklist"))
-    naive = Session(CheckConfig(fixpoint_strategy="naive"))
-    rows: List[BenchmarkRow] = []
-    comparisons: List[FixpointComparison] = []
-    for name in names:
-        source = source_of(name, programs_dir)
-        filename = f"{name}.rsc"
-        naive_result = naive.check_source(source, filename=filename)
-        worklist_result = worklist.check_source(source, filename=filename)
-        trivial, mut, refs = count_annotations(source)
-        solve = worklist_result.solve_stats
-        stats = worklist_result.stats
-        rows.append(BenchmarkRow(
-            name=name, loc=count_loc(source), trivial=trivial,
-            mutability=mut, refinements=refs,
-            time_seconds=worklist_result.time_seconds,
-            errors=len(worklist_result.errors), safe=worklist_result.ok,
-            queries=stats.queries if stats else 0,
-            solve_rounds=solve.rounds if solve else 0,
-            queries_pruned=solve.queries_pruned if solve else 0,
-            cache_hits=stats.cache_hits if stats else 0))
-        naive_solve = naive_result.solve_stats
-        comparisons.append(FixpointComparison(
-            name=name,
-            naive_queries=naive_solve.queries_issued if naive_solve else 0,
-            worklist_queries=solve.queries_issued if solve else 0,
-            naive_time_seconds=naive_result.time_seconds,
-            worklist_time_seconds=worklist_result.time_seconds,
-            rounds=solve.rounds if solve else 0,
-            queries_pruned=solve.queries_pruned if solve else 0,
-            cache_hits=solve.cache_hits if solve else 0,
-            safe=worklist_result.ok and naive_result.ok))
-    return rows, comparisons
-
-
-def format_fixpoint_comparison(comparisons: List[FixpointComparison]) -> str:
-    """The before/after table printed under the Figure 6 results."""
-    lines = [
-        "Fixpoint engine: naive global rounds vs dependency-directed worklist",
-        "Benchmark        Queries(naive)  Queries(worklist)  Saved%  "
-        "Time(naive)  Time(worklist)",
-        "-" * 86,
-    ]
-    tot_nq = tot_wq = 0
-    tot_nt = tot_wt = 0.0
-    for cmp in comparisons:
-        lines.append(
-            f"{cmp.name:15s} {cmp.naive_queries:14d} {cmp.worklist_queries:18d} "
-            f"{100 * cmp.query_reduction:6.1f} {cmp.naive_time_seconds:12.2f} "
-            f"{cmp.worklist_time_seconds:15.2f}")
-        tot_nq += cmp.naive_queries
-        tot_wq += cmp.worklist_queries
-        tot_nt += cmp.naive_time_seconds
-        tot_wt += cmp.worklist_time_seconds
-    lines.append("-" * 86)
-    saved = 100 * (1.0 - tot_wq / tot_nq) if tot_nq else 0.0
-    lines.append(f"{'TOTAL':15s} {tot_nq:14d} {tot_wq:18d} {saved:6.1f} "
-                 f"{tot_nt:12.2f} {tot_wt:15.2f}")
-    return "\n".join(lines)
-
-
 #: Schema identifier stamped into fixpoint reports (bump on layout changes).
-FIXPOINT_REPORT_SCHEMA = "repro-bench-fixpoint/1"
+FIXPOINT_REPORT_SCHEMA = "repro-bench-fixpoint/2"
 
 
-def fixpoint_report(rows: List[BenchmarkRow],
-                    comparisons: List[FixpointComparison]) -> dict:
+def fixpoint_report(rows: List[BenchmarkRow]) -> dict:
     """The machine-readable report dumped as ``BENCH_fixpoint.json``."""
-    benchmarks = {}
-    by_name = {row.name: row for row in rows}
-    for cmp in comparisons:
-        entry = cmp.to_dict()
-        row = by_name.get(cmp.name)
-        if row is not None:
-            entry["figure6"] = row.to_dict()
-        benchmarks[cmp.name] = entry
+    benchmarks = {
+        row.name: {
+            "name": row.name,
+            "worklist": {
+                "queries": row.queries_issued,
+                "time_seconds": row.time_seconds,
+                "rounds": row.solve_rounds,
+                "queries_pruned": row.queries_pruned,
+                "cache_hits": row.cache_hits,
+            },
+            "safe": row.safe,
+            "figure6": row.to_dict(),
+        }
+        for row in rows
+    }
     return {
         "schema": FIXPOINT_REPORT_SCHEMA,
         "benchmarks": benchmarks,
         "totals": {
-            "naive_queries": sum(c.naive_queries for c in comparisons),
-            "worklist_queries": sum(c.worklist_queries for c in comparisons),
-            "naive_time_seconds": sum(c.naive_time_seconds
-                                      for c in comparisons),
-            "worklist_time_seconds": sum(c.worklist_time_seconds
-                                         for c in comparisons),
+            "worklist_queries": sum(r.queries_issued for r in rows),
+            "worklist_time_seconds": sum(r.time_seconds for r in rows),
         },
     }
 
@@ -387,165 +272,16 @@ def format_figure6(rows: List[BenchmarkRow]) -> str:
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# SMT-mode comparison (`repro bench smt`)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SmtModeRow:
-    """Fresh-solver vs incremental-context numbers for one benchmark.
-
-    ``identical`` asserts the differential property the incremental engine
-    must preserve: byte-identical diagnostics and kappa solutions under both
-    modes.  ``sat_calls`` is the comparison metric — SAT search episodes —
-    while the context counters explain *why* incremental wins (persistent
-    contexts, replayed theory lemmas, propagation-evident refutations).
-    """
-
-    name: str
-    fresh_sat_calls: int
-    incremental_sat_calls: int
-    fresh_theory_checks: int
-    incremental_theory_checks: int
-    fresh_time_seconds: float
-    incremental_time_seconds: float
-    queries: int
-    contexts_created: int
-    contexts_reused: int
-    clauses_learned: int
-    lemmas_reused: int
-    identical: bool
-    safe: bool
-
-    @property
-    def sat_call_reduction(self) -> float:
-        """Fraction of the fresh engine's SAT searches incremental avoided."""
-        if self.fresh_sat_calls == 0:
-            return 0.0
-        return 1.0 - self.incremental_sat_calls / self.fresh_sat_calls
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "fresh": {
-                "sat_calls": self.fresh_sat_calls,
-                "theory_checks": self.fresh_theory_checks,
-                "time_seconds": self.fresh_time_seconds,
-            },
-            "incremental": {
-                "sat_calls": self.incremental_sat_calls,
-                "theory_checks": self.incremental_theory_checks,
-                "time_seconds": self.incremental_time_seconds,
-                "contexts_created": self.contexts_created,
-                "contexts_reused": self.contexts_reused,
-                "clauses_learned": self.clauses_learned,
-                "lemmas_reused": self.lemmas_reused,
-            },
-            "queries": self.queries,
-            "sat_call_reduction": self.sat_call_reduction,
-            "identical": self.identical,
-            "safe": self.safe,
-        }
-
-
 def _comparable_verdict(result) -> tuple:
-    """The parts of a :class:`CheckResult` that must match across SMT modes:
-    every diagnostic (code, message, span, severity) and the solved kappa
-    refinements, rendered to strings so the comparison is byte-level."""
+    """The parts of a :class:`CheckResult` that must match across engine
+    configurations: every diagnostic (code, message, span, severity) and
+    the solved kappa refinements, rendered to strings so the comparison is
+    byte-level."""
     return (
         [d.to_dict() for d in result.diagnostics],
         {name: [str(q) for q in quals]
          for name, quals in sorted(result.kappa_solution.items())},
     )
-
-
-def smt_mode_rows(names: Optional[List[str]] = None,
-                  programs_dir: Optional[pathlib.Path] = None
-                  ) -> List[SmtModeRow]:
-    """Check every benchmark under both SMT modes and compare.
-
-    Each mode gets its own fresh session (and solver) per benchmark, so the
-    counters are not distorted by the other mode's result cache or by
-    earlier benchmarks' contexts.
-    """
-    rows: List[SmtModeRow] = []
-    for name in (names or BENCHMARKS):
-        source = source_of(name, programs_dir)
-        filename = f"{name}.rsc"
-        fresh = Session(CheckConfig(smt_mode="fresh")).check_source(
-            source, filename=filename)
-        incremental = Session(CheckConfig(smt_mode="incremental")).check_source(
-            source, filename=filename)
-        fs, inc = fresh.stats, incremental.stats
-        rows.append(SmtModeRow(
-            name=name,
-            fresh_sat_calls=fs.sat_calls if fs else 0,
-            incremental_sat_calls=inc.sat_calls if inc else 0,
-            fresh_theory_checks=fs.theory_checks if fs else 0,
-            incremental_theory_checks=inc.theory_checks if inc else 0,
-            fresh_time_seconds=fresh.time_seconds,
-            incremental_time_seconds=incremental.time_seconds,
-            queries=inc.queries if inc else 0,
-            contexts_created=inc.contexts_created if inc else 0,
-            contexts_reused=inc.contexts_reused if inc else 0,
-            clauses_learned=inc.clauses_learned if inc else 0,
-            lemmas_reused=inc.lemmas_reused if inc else 0,
-            identical=_comparable_verdict(fresh) == _comparable_verdict(
-                incremental),
-            safe=fresh.ok and incremental.ok))
-    return rows
-
-
-#: Schema identifier stamped into SMT-mode reports.
-SMT_REPORT_SCHEMA = "repro-bench-smt/1"
-
-
-def smt_report(rows: List[SmtModeRow]) -> dict:
-    """The machine-readable report dumped as ``BENCH_smt.json``."""
-    return {
-        "schema": SMT_REPORT_SCHEMA,
-        "benchmarks": {row.name: row.to_dict() for row in rows},
-        "totals": {
-            "fresh_sat_calls": sum(r.fresh_sat_calls for r in rows),
-            "incremental_sat_calls": sum(r.incremental_sat_calls
-                                         for r in rows),
-            "fresh_time_seconds": sum(r.fresh_time_seconds for r in rows),
-            "incremental_time_seconds": sum(r.incremental_time_seconds
-                                            for r in rows),
-        },
-    }
-
-
-def format_smt(rows: List[SmtModeRow]) -> str:
-    """The table printed by ``repro bench smt``."""
-    lines = [
-        "SMT engine: fresh solver per query vs persistent assumption-based "
-        "contexts",
-        "Benchmark        Sat(fresh)  Sat(incr)  Saved%  Ctx(new/reuse)  "
-        "Lemmas  Same  Time(f)  Time(i)",
-        "-" * 92,
-    ]
-    tot_f = tot_i = 0
-    tot_ft = tot_it = 0.0
-    for row in rows:
-        ctx = f"{row.contexts_created}/{row.contexts_reused}"
-        lines.append(
-            f"{row.name:15s} {row.fresh_sat_calls:11d} "
-            f"{row.incremental_sat_calls:10d} "
-            f"{100 * row.sat_call_reduction:6.1f} {ctx:>14s} "
-            f"{row.lemmas_reused:7d} {'yes' if row.identical else 'NO':>5s} "
-            f"{row.fresh_time_seconds:8.2f} "
-            f"{row.incremental_time_seconds:8.2f}")
-        tot_f += row.fresh_sat_calls
-        tot_i += row.incremental_sat_calls
-        tot_ft += row.fresh_time_seconds
-        tot_it += row.incremental_time_seconds
-    lines.append("-" * 92)
-    saved = 100 * (1.0 - tot_i / tot_f) if tot_f else 0.0
-    lines.append(f"{'TOTAL':15s} {tot_f:11d} {tot_i:10d} {saved:6.1f} "
-                 f"{'':14s} {'':7s} {'':5s} {tot_ft:8.2f} {tot_it:8.2f}")
-    return "\n".join(lines)
 
 
 #: Function edited by the scripted ``incremental`` scenario, per benchmark.

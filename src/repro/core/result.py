@@ -28,20 +28,17 @@ STAGES = ("parse", "ssa", "constraints", "solve", "verify")
 class SolveStats:
     """Typed counters from one liquid-fixpoint run (the ``solve`` stage).
 
-    ``rounds`` counts scheduler steps: full sweeps over the Horn constraints
-    for the ``naive`` strategy, individual worklist visits for the
-    ``worklist`` strategy.  ``queries_pruned`` counts candidate qualifiers
-    discharged without an SMT query (syntactic tautologies, inconsistent
-    hypotheses, and refuted-memo hits); ``cache_hits`` is the solver-cache
-    delta observed while solving.
+    ``rounds`` counts scheduler steps (individual worklist visits).
+    ``queries_pruned`` counts candidate qualifiers discharged without an SMT
+    query (syntactic tautologies, inconsistent hypotheses, and refuted-memo
+    hits); ``cache_hits`` is the solver-cache delta observed while solving.
 
-    The incremental-SMT counters (``smt_mode="incremental"``) are likewise
-    solver deltas observed during the solve: ``contexts_created`` /
-    ``contexts_reused`` count persistent assumption-based solver contexts
-    built vs served from the LRU, ``clauses_learned`` counts CDCL-learned
-    clauses (retained by contexts, discarded by fresh solvers), and
-    ``lemmas_reused`` counts theory conflicts answered from the cross-context
-    lemma memo without re-running a theory check.
+    The incremental-SMT counters are likewise solver deltas observed during
+    the solve: ``contexts_created`` / ``contexts_reused`` count persistent
+    assumption-based solver contexts built vs served from the LRU,
+    ``clauses_learned`` counts CDCL-learned clauses, and ``lemmas_reused``
+    counts theory conflicts answered from the cross-context lemma memo
+    without re-running a theory check.
 
     The incremental-workspace counters describe warm starts:
     ``warm_starts`` is 1 when the solve reused a previous solution,
@@ -50,7 +47,6 @@ class SolveStats:
     whose solved refinements and obligation verdicts were carried over.
     """
 
-    strategy: str = "worklist"
     kappas: int = 0
     horn_implications: int = 0
     sccs: int = 0
@@ -70,8 +66,6 @@ class SolveStats:
     rank_batches: int = 0
 
     def merge(self, other: "SolveStats") -> None:
-        if self.strategy != other.strategy:
-            self.strategy = "mixed"
         self.kappas += other.kappas
         self.horn_implications += other.horn_implications
         self.sccs += other.sccs
@@ -90,7 +84,6 @@ class SolveStats:
 
     def to_dict(self) -> dict:
         return {
-            "strategy": self.strategy,
             "kappas": self.kappas,
             "horn_implications": self.horn_implications,
             "sccs": self.sccs,
@@ -237,7 +230,7 @@ class BatchResult:
         """Fixpoint-engine counters aggregated over every checked file."""
         stats = [r.solve_stats for r in self.results
                  if r.solve_stats is not None]
-        total = SolveStats(strategy=stats[0].strategy) if stats else SolveStats()
+        total = SolveStats()
         for s in stats:
             total.merge(s)
         return total

@@ -63,7 +63,7 @@ class ProjectResult:
     def solve_stats(self) -> SolveStats:
         stats = [r.solve_stats for r in self.results
                  if r.solve_stats is not None]
-        total = SolveStats(strategy=stats[0].strategy) if stats else SolveStats()
+        total = SolveStats()
         for s in stats:
             total.merge(s)
         return total

@@ -18,13 +18,9 @@ scratch:
                               long-lived SAT solver per hypothesis
                               environment, goals checked under selector
                               assumptions, learned/theory clauses retained,
-* :mod:`repro.smt.backend`  — the pluggable ``Backend`` protocol and
-                              registry (the built-in engine is
-                              ``"internal"``; a z3 adapter can drop in),
 * :mod:`repro.smt.solver`   — the lazy-SMT loop and the public ``Solver``
                               facade (``is_valid`` / ``is_satisfiable``),
-                              routing implications through contexts when
-                              ``smt_mode="incremental"``.
+                              routing implications through contexts.
 
 The combination is sound for validity: whenever :meth:`Solver.is_valid`
 returns ``True`` the formula really is valid in QF_UFLIA + constant masks.
@@ -32,24 +28,13 @@ Incompleteness only ever causes spurious "not valid" answers (i.e. spurious
 type errors), never unsoundness.
 """
 
-from repro.smt.solver import SMT_MODES, Result, Solver, SolverStats
-from repro.smt.backend import (
-    Backend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
+from repro.smt.solver import Result, Solver, SolverStats
 from repro.smt.context import ContextManager, SolverContext, TheoryLemmaStore
 
 __all__ = [
     "Solver",
     "SolverStats",
     "Result",
-    "SMT_MODES",
-    "Backend",
-    "available_backends",
-    "create_backend",
-    "register_backend",
     "ContextManager",
     "SolverContext",
     "TheoryLemmaStore",

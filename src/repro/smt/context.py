@@ -200,7 +200,8 @@ class SolverContext:
 
         ``stats`` is the owning solver's :class:`SolverStats`; the context
         bumps ``sat_calls`` / ``theory_checks`` / ``blocking_clauses`` /
-        ``lemmas_reused`` / ``clauses_learned`` exactly like the fresh path.
+        ``lemmas_reused`` / ``clauses_learned`` like
+        :meth:`repro.smt.solver.Solver._check_sat`.
         """
         self.goals_checked += 1
         if self._inconsistent:
@@ -234,8 +235,8 @@ class SolverContext:
         if self.sat.propagate_probe((selector,)):
             # Retained clauses refute the goal by unit propagation alone —
             # no SAT search needed.  This is the steady-state fast path for
-            # re-derivable obligations and the reason incremental mode
-            # issues fewer sat_calls than the fresh engine.
+            # re-derivable obligations and the reason contexts issue fewer
+            # sat_calls than a one-shot solve per goal.
             self._retire(selector)
             return True
         learned_before = self.sat.num_learned
@@ -273,8 +274,8 @@ class SolverContext:
         Called whenever new atoms were mapped into this context (hypothesis
         build, each goal encoding): any stored core whose atoms are now all
         mapped is blocked up front, so its conflict is never enumerated by
-        the SAT search at all — this is where the incremental engine beats
-        the fresh one on ``sat_calls``, and why the memo matters across both
+        the SAT search at all — this is where contexts beat a one-shot
+        solve per goal on ``sat_calls``, and why the memo matters across both
         LRU eviction and context resets.
 
         A core only becomes fully mapped when its *last* atom is mapped, and
@@ -345,8 +346,8 @@ class SolverContext:
                 stats.lemmas_reused += 1
                 core = self.lemmas.core_at(index)
             else:
-                stats.theory_checks += 1
                 result = check_with_core(literals)
+                stats.theory_checks += result.checks
                 if result.satisfiable:
                     return False
                 core = frozenset(result.core or literals)
@@ -354,14 +355,14 @@ class SolverContext:
             if not any(self.atoms.atom_to_var.get(atom) is not None
                        for atom, _value in core):
                 # The conflict mentions no decidable atom; give up
-                # conservatively (mirrors the fresh path).
+                # conservatively (mirrors Solver._check_sat).
                 return None
             stats.blocking_clauses += 1
             if not self._assert_core(index, core):
                 return True
             if self.sat.propagate_probe(assumptions):
                 # The new lemma refutes the goal by propagation alone — the
-                # fresh engine detects the same situation as a root-level
+                # one-shot loop detects the same situation as a root-level
                 # conflict while inserting its blocking clause.
                 return True
         return None

@@ -32,10 +32,6 @@ from repro.smt.sat import SatSolver
 from repro.smt.theory import check_with_core
 from repro.obs.trace import span as trace_span
 
-#: Query engines understood by :class:`Solver` (mirrored by
-#: :data:`repro.core.config.SMT_MODES` for :class:`CheckConfig` validation).
-SMT_MODES = ("incremental", "fresh")
-
 
 class Result(Enum):
     SAT = "sat"
@@ -104,19 +100,12 @@ class SolverStats:
 class Solver:
     """The SMT query engine behind every checking session.
 
-    ``smt_mode`` selects how implication batches are discharged:
-
-    * ``"fresh"`` (the constructor default, and the historical behaviour) —
-      every query builds its own CNF and SAT solver;
-    * ``"incremental"`` — implication queries are routed through persistent
-      assumption-based :class:`repro.smt.context.SolverContext` objects,
-      one per hypothesis environment, kept in an LRU of
-      ``context_cache_limit`` entries (see :mod:`repro.smt.context`).
-      Sessions default to this mode via
-      :attr:`repro.core.config.CheckConfig.smt_mode`.
-
-    Verdicts are identical in both modes (asserted by the differential fuzz
-    suite and ``repro bench smt``); only the work counters differ.
+    Implication queries are discharged through persistent assumption-based
+    :class:`repro.smt.context.SolverContext` objects, one per hypothesis
+    environment, kept in an LRU of ``context_cache_limit`` entries (see
+    :mod:`repro.smt.context`).  Bare satisfiability queries (:meth:`check`)
+    build their own CNF and SAT solver.  The test-suite checks the context
+    engine against that one-shot path on every benchmark port.
 
     The query/result cache is keyed by the (hashable) formula, evicts
     least-recently-used entries past ``cache_size_limit``, and survives for
@@ -128,16 +117,11 @@ class Solver:
     def __init__(self, max_theory_iterations: int = 5000,
                  cache_results: bool = True,
                  cache_size_limit: int = 200_000,
-                 smt_mode: str = "fresh",
                  context_cache_limit: int = 64) -> None:
-        if smt_mode not in SMT_MODES:
-            raise ValueError(f"unknown smt_mode {smt_mode!r} "
-                             f"(expected one of {', '.join(SMT_MODES)})")
         self.max_theory_iterations = max_theory_iterations
         self.stats = SolverStats()
         self.cache_results = cache_results
         self.cache_size_limit = cache_size_limit
-        self.smt_mode = smt_mode
         self.contexts = ContextManager(
             limit=context_cache_limit,
             max_theory_iterations=max_theory_iterations)
@@ -245,32 +229,27 @@ class Solver:
     def check_implication(self, hypotheses: Sequence[Expr], goal: Expr) -> bool:
         """Validity of ``/\\ hypotheses => goal`` — the VC entry point."""
         antecedent = conj(*hypotheses) if hypotheses else BoolLit(True)
-        if self.smt_mode == "incremental":
-            return self._check_goal_incremental(antecedent, goal)
-        return self.is_valid(implies(antecedent, goal))
+        return self._check_goal(antecedent, goal)
 
     def check_implication_batch(self, hypotheses: Sequence[Expr],
                                 goals: Sequence[Expr]) -> List[bool]:
         """Validity of ``/\\ hypotheses => goal`` for each goal in turn.
 
         The antecedent conjunction is built once and every query still flows
-        through the result cache.  In ``"incremental"`` mode the whole batch
-        is discharged against one persistent :class:`SolverContext`: the
-        hypotheses' CNF is asserted once, each goal is solved under a fresh
-        selector assumption, and learned/theory clauses carry over from goal
-        to goal (and to later batches over the same environment)."""
+        through the result cache.  The whole batch is discharged against one
+        persistent :class:`SolverContext`: the hypotheses' CNF is asserted
+        once, each goal is solved under a fresh selector assumption, and
+        learned/theory clauses carry over from goal to goal (and to later
+        batches over the same environment)."""
         antecedent = conj(*hypotheses) if hypotheses else BoolLit(True)
-        if self.smt_mode == "incremental":
-            return [self._check_goal_incremental(antecedent, goal)
-                    for goal in goals]
-        return [self.is_valid(implies(antecedent, goal)) for goal in goals]
+        return [self._check_goal(antecedent, goal) for goal in goals]
 
-    def _check_goal_incremental(self, antecedent: Expr, goal: Expr) -> bool:
+    def _check_goal(self, antecedent: Expr, goal: Expr) -> bool:
         """One implication goal through the persistent-context engine.
 
-        Caches under the same key as the fresh path
-        (``neg(antecedent => goal)``), so repeated obligations are served
-        identically in both modes and never touch a context twice.
+        Caches under the key :meth:`is_valid` would use
+        (``neg(antecedent => goal)``), so a repeated obligation is served
+        from the cache and never touches a context twice.
         """
         formula = neg(implies(antecedent, goal))
         cached = self._cache_lookup(formula)
@@ -284,7 +263,7 @@ class Solver:
                     context = self.contexts.context_for(antecedent,
                                                         self.stats)
                     verdict = context.check_goal(goal, self.stats)
-                    # Tri-state, like the fresh loop: None (budget
+                    # Tri-state, like _check_sat: None (budget
                     # exhausted) is UNKNOWN and must not be cached as a
                     # real SAT answer.
                     if verdict is None:
@@ -335,8 +314,8 @@ class Solver:
                     atom = atoms.atom_of(var)
                     if atom is not None:
                         literals.append((atom, value))
-                self.stats.theory_checks += 1
                 result = check_with_core(literals)
+                self.stats.theory_checks += result.checks
                 if result.satisfiable:
                     return Result.SAT
                 # Block this theory-inconsistent assignment.
@@ -357,9 +336,7 @@ class Solver:
                     return Result.UNSAT
             return Result.UNKNOWN
         finally:
-            # Everything this throwaway solver learned is discarded with it;
-            # the counter is what `repro bench smt` compares against the
-            # incremental engine's persistent contexts.
+            # Everything this throwaway solver learned is discarded with it.
             self.stats.clauses_learned += sat.num_learned
 
 

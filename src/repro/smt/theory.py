@@ -67,6 +67,9 @@ class TheoryResult:
     #: when unsatisfiable, a (possibly minimised) subset of the input literals
     #: that is already inconsistent; used to build the blocking clause.
     core: Optional[List[TheoryLiteral]] = None
+    #: how many :func:`check_literals` calls produced this result, core
+    #: minimisation probes included (what ``SolverStats.theory_checks`` sums).
+    checks: int = 1
 
 
 def check_literals(literals: Sequence[TheoryLiteral]) -> bool:
@@ -211,7 +214,7 @@ def check_with_core(literals: Sequence[TheoryLiteral]) -> TheoryResult:
             core = trial
         else:
             i += 1
-    return TheoryResult(False, core)
+    return TheoryResult(False, core, 1 + MINIMISE_CHECK_BUDGET - budget)
 
 
 # ---------------------------------------------------------------------------

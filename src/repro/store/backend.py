@@ -1,12 +1,11 @@
 """The pluggable artifact-store seam.
 
-Mirrors :mod:`repro.smt.backend`: the checking pipeline only ever talks to
-the store through the narrow byte-oriented surface below, captured as a
-runtime-checkable protocol, and backends are registered by name in a
-process-wide registry.  The built-in filesystem implementation
-(:class:`repro.store.local.LocalStoreBackend`, registered as ``"local"``)
-is the only one shipped; a shared networked store (redis, an artifact
-service) drops in by registering a factory::
+The checking pipeline only ever talks to the store through the narrow
+byte-oriented surface below, captured as a runtime-checkable protocol, and
+backends are registered by name in a process-wide registry.  The built-in
+filesystem implementation (:class:`repro.store.local.LocalStoreBackend`,
+registered as ``"local"``) is the only one shipped; a shared networked
+store (redis, an artifact service) drops in by registering a factory::
 
     from repro.store.backend import register_store_backend
 

@@ -446,7 +446,7 @@ class TestSolverCacheEviction:
         assert solver.stats.queries == 2
 
     def test_incremental_mode_cache_also_bounded(self):
-        solver = Solver(smt_mode="incremental", cache_size_limit=4)
+        solver = Solver(cache_size_limit=4)
         hyps = [lt(IntLit(0), var("x"))]
         goals = [lt(var("x"), IntLit(i)) for i in range(12)]
         solver.check_implication_batch(hyps, goals)

@@ -3,9 +3,10 @@
 A seeded random generator produces Bool/LIA/EUF formulas and implication
 batches, and three independent deciders are compared:
 
-* the **fresh** engine (``smt_mode="fresh"``) — a new CNF and SAT solver per
-  query, the historical reference,
-* the **incremental** engine (``smt_mode="incremental"``) — persistent
+* the **fresh** engine — a new CNF and SAT solver per query through
+  ``Solver.is_valid``, installed by the ``one_shot_smt`` fixture
+  (``tests/conftest.py``), the historical reference,
+* the **incremental** engine (the ``Solver`` default) — persistent
   assumption-based contexts with retained learned clauses and replayed
   theory lemmas (:mod:`repro.smt.context`),
 * a **brute-force evaluator** over small integer domains (and a small
@@ -211,12 +212,10 @@ def bool_assignments(names: Sequence[str]):
 # ---------------------------------------------------------------------------
 
 
-def fresh_solver() -> Solver:
-    return Solver(smt_mode="fresh")
-
-
-def incremental_solver(**kwargs) -> Solver:
-    return Solver(smt_mode="incremental", **kwargs)
+def fresh_batch(one_shot_smt, hyps, goals) -> List[bool]:
+    """The fresh engine's verdicts for one batch."""
+    with one_shot_smt():
+        return Solver().check_implication_batch(hyps, goals)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +224,13 @@ def incremental_solver(**kwargs) -> Solver:
 
 
 @pytest.mark.parametrize("seed", range(120))
-def test_batch_differential(seed):
+def test_batch_differential(seed, one_shot_smt):
     """incremental == fresh == (sound wrt) brute force, per batch."""
     gen = FormulaGen(random.Random(1000 + seed))
     hyps, goals = gen.batch()
 
-    fresh = fresh_solver().check_implication_batch(hyps, goals)
-    incremental = incremental_solver().check_implication_batch(hyps, goals)
+    fresh = fresh_batch(one_shot_smt, hyps, goals)
+    incremental = Solver().check_implication_batch(hyps, goals)
     assert incremental == fresh, (
         f"seed {seed}: engines disagree\nhyps={hyps}\ngoals={goals}")
 
@@ -249,15 +248,12 @@ def test_batch_order_independence(seed):
     gen = FormulaGen(rng)
     hyps, goals = gen.batch()
 
-    baseline = dict(zip(goals,
-                        incremental_solver().check_implication_batch(hyps,
-                                                                     goals)))
+    baseline = dict(zip(goals, Solver().check_implication_batch(hyps, goals)))
     shuffled_goals = list(goals)
     rng.shuffle(shuffled_goals)
     shuffled_hyps = list(hyps)
     rng.shuffle(shuffled_hyps)
-    redo = incremental_solver().check_implication_batch(shuffled_hyps,
-                                                        shuffled_goals)
+    redo = Solver().check_implication_batch(shuffled_hyps, shuffled_goals)
     for goal, verdict in zip(shuffled_goals, redo):
         assert verdict == baseline[goal], (
             f"seed {seed}: goal verdict changed under reordering: {goal}")
@@ -273,12 +269,12 @@ def test_cache_and_context_reuse_independence(seed):
     hyps_a, goals_a = gen.batch()
     hyps_b, goals_b = gen.batch()
 
-    expected_a = incremental_solver().check_implication_batch(hyps_a, goals_a)
-    expected_b = incremental_solver().check_implication_batch(hyps_b, goals_b)
+    expected_a = Solver().check_implication_batch(hyps_a, goals_a)
+    expected_b = Solver().check_implication_batch(hyps_b, goals_b)
 
     # One shared solver, contexts evicted after every batch (limit=1), the
     # query cache disabled so every check really exercises a context.
-    churn = incremental_solver(cache_results=False, context_cache_limit=1)
+    churn = Solver(cache_results=False, context_cache_limit=1)
     for _ in range(2):  # second round rebuilds evicted contexts from lemmas
         assert churn.check_implication_batch(hyps_a, goals_a) == expected_a
         assert churn.check_implication_batch(hyps_b, goals_b) == expected_b
@@ -286,7 +282,7 @@ def test_cache_and_context_reuse_independence(seed):
 
     # With the query cache on, a re-run must serve hits with the same
     # verdicts.
-    cached = incremental_solver()
+    cached = Solver()
     first = cached.check_implication_batch(hyps_a, goals_a)
     hits_before = cached.stats.cache_hits
     assert cached.check_implication_batch(hyps_a, goals_a) == first
@@ -294,7 +290,7 @@ def test_cache_and_context_reuse_independence(seed):
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_pure_boolean_exact(seed):
+def test_pure_boolean_exact(seed, one_shot_smt):
     """On purely propositional implications all three deciders agree
     exactly — the SAT core is complete there, so brute force over the
     boolean assignments is a full oracle, not just a soundness check."""
@@ -303,8 +299,8 @@ def test_pure_boolean_exact(seed):
     hyps = [gen.boolean_formula(2) for _ in range(gen.rng.randint(1, 2))]
     goals = [gen.boolean_formula(2) for _ in range(gen.rng.randint(2, 5))]
 
-    fresh = fresh_solver().check_implication_batch(hyps, goals)
-    incremental = incremental_solver().check_implication_batch(hyps, goals)
+    fresh = fresh_batch(one_shot_smt, hyps, goals)
+    incremental = Solver().check_implication_batch(hyps, goals)
     assert incremental == fresh
 
     for goal, verdict in zip(goals, incremental):
@@ -319,44 +315,42 @@ def test_pure_boolean_exact(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_satisfiability_sound(seed):
-    """A sampled model means neither engine may answer UNSAT."""
+    """A sampled model means the solver may not answer UNSAT."""
     gen = FormulaGen(random.Random(5000 + seed))
     formula = gen.formula(3)
 
-    results = {mode: Solver(smt_mode=mode).check(formula)
-               for mode in ("fresh", "incremental")}
-    # `check` takes the fresh path in both modes (it is a bare
-    # satisfiability query, not an implication); the differential property
-    # for contexts is covered by the batch tests.  Still assert agreement.
-    assert results["fresh"] == results["incremental"]
+    # `check` is a bare satisfiability query, not an implication, so it
+    # always takes the one-shot path; the differential property for
+    # contexts is covered by the batch tests.
+    result = Solver().check(formula)
 
     has_model = any(
         eval_expr(formula, env, f)
         for f in F_INTERPRETATIONS for env in assignments())
     if has_model:
-        assert results["fresh"] is not Result.UNSAT, (
+        assert result is not Result.UNSAT, (
             f"seed {seed}: formula with a sampled model answered UNSAT: "
             f"{formula}")
 
 
-def test_environment_inconsistent_batches():
+def test_environment_inconsistent_batches(one_shot_smt):
     """An unsatisfiable environment proves every goal, in both modes."""
     x = Var("x", INT)
     hyps = [BinOp("<", x, IntLit(0), BOOL), BinOp(">", x, IntLit(0), BOOL)]
     goals = [BinOp("=", x, IntLit(7), BOOL), BoolLit(False), BoolLit(True)]
-    assert fresh_solver().check_implication_batch(hyps, goals) == \
-        incremental_solver().check_implication_batch(hyps, goals) == \
+    assert fresh_batch(one_shot_smt, hyps, goals) == \
+        Solver().check_implication_batch(hyps, goals) == \
         [True, True, True]
 
 
-def test_trivial_goals_and_empty_hypotheses():
+def test_trivial_goals_and_empty_hypotheses(one_shot_smt):
     x = Var("x", INT)
     goals = [BoolLit(True), BoolLit(False),
              BinOp("=", x, x, BOOL),
              BinOp("<", x, x, BOOL)]
     expected = [True, False, True, False]
-    assert fresh_solver().check_implication_batch([], goals) == expected
-    assert incremental_solver().check_implication_batch([], goals) == expected
+    assert fresh_batch(one_shot_smt, [], goals) == expected
+    assert Solver().check_implication_batch([], goals) == expected
 
 
 def test_lemma_store_shared_across_contexts():
@@ -369,7 +363,7 @@ def test_lemma_store_shared_across_contexts():
     hyps_one = [BinOp(">", x, IntLit(1), BOOL)]
     hyps_two = [BinOp(">", x, IntLit(1), BOOL),
                 BinOp("=", y, y, BOOL)]  # distinct environment, same core
-    solver = incremental_solver()
+    solver = Solver()
     assert solver.check_implication_batch(hyps_one, [goal]) == [True]
     checks_after_first = solver.stats.theory_checks
     assert solver.check_implication_batch(hyps_two, [goal]) == [True]
@@ -439,10 +433,10 @@ def test_context_reset_preserves_verdicts(monkeypatch):
 
     gen = FormulaGen(random.Random(6000))
     hyps, goals = gen.batch()
-    expected = incremental_solver().check_implication_batch(hyps, goals)
+    expected = Solver().check_implication_batch(hyps, goals)
 
     monkeypatch.setattr(context_mod, "RESET_VAR_LIMIT", 1)
-    churn = incremental_solver(cache_results=False)
+    churn = Solver(cache_results=False)
     assert churn.check_implication_batch(hyps, goals) == expected
 
     ctx = churn.contexts.context_for(
@@ -457,7 +451,7 @@ def test_compaction_happens_across_a_long_batch():
     x = Var("x", INT)
     hyps = [BinOp("<", IntLit(0), x, BOOL)]
     goals = [BinOp("<", IntLit(-i), x, BOOL) for i in range(1, 30)]
-    solver = incremental_solver(cache_results=False)
+    solver = Solver(cache_results=False)
     assert solver.check_implication_batch(hyps, goals) == [True] * 29
     ctx = solver.contexts.context_for(hyps[0], solver.stats)
     assert ctx.goals_checked == 29
@@ -466,7 +460,7 @@ def test_compaction_happens_across_a_long_batch():
     assert ctx.sat.num_clauses < 2 * len(goals)
 
 
-def test_unknown_verdict_not_cached_as_sat():
+def test_unknown_verdict_not_cached_as_sat(one_shot_smt):
     """A budget-exhausted incremental query is UNKNOWN — it must be cached
     (and reported) exactly like the fresh engine's UNKNOWN, never as a
     definitive SAT answer (regression: a poisoned formula cache would make
@@ -481,59 +475,13 @@ def test_unknown_verdict_not_cached_as_sat():
                  BinOp("<", x, IntLit(3), BOOL), BOOL)
     formula = neg(implies(conj(), goal))
 
-    verdicts = {}
-    for mode in ("fresh", "incremental"):
-        solver = Solver(smt_mode=mode, max_theory_iterations=1)
+    def verdict() -> Result:
+        solver = Solver(max_theory_iterations=1)
         assert solver.check_implication(hyps, goal) is False  # budget, not proof
-        verdicts[mode] = solver.check(formula)  # served from the cache
+        result = solver.check(formula)  # served from the cache
         assert solver.stats.cache_hits == 1
-    assert verdicts["incremental"] == verdicts["fresh"] == Result.UNKNOWN
+        return result
 
-
-class TestBackendRegistry:
-    def test_internal_backend_is_the_solver(self):
-        from repro.smt.backend import available_backends, create_backend
-
-        assert "internal" in available_backends()
-        backend = create_backend("internal", smt_mode="incremental")
-        assert isinstance(backend, Solver)
-        assert backend.smt_mode == "incremental"
-
-    def test_unknown_backend_rejected_with_choices(self):
-        from repro.smt.backend import create_backend
-
-        with pytest.raises(ValueError, match="internal"):
-            create_backend("z5")
-
-    def test_config_selects_registered_backend(self):
-        """SolverOptions.backend routes Session/Workspace construction
-        through the registry — the drop-in seam a z3 adapter would use."""
-        from repro.core.config import CheckConfig, SolverOptions
-        from repro.core.session import Session
-        from repro.smt.backend import _REGISTRY, register_backend
-
-        class RecordingSolver(Solver):
-            constructed = []
-
-            def __init__(self, **options):
-                type(self).constructed.append(options)
-                super().__init__(**options)
-
-        register_backend("recording", RecordingSolver)
-        try:
-            config = CheckConfig(
-                solver=SolverOptions(backend="recording",
-                                     context_cache_limit=7))
-            session = Session(config)
-            assert isinstance(session.solver, RecordingSolver)
-            assert RecordingSolver.constructed[-1]["context_cache_limit"] == 7
-            assert session.check_source(
-                "spec id :: (x: number) => number;\n"
-                "function id(x) { return x; }\n").ok
-        finally:
-            del _REGISTRY["recording"]
-
-    def test_solver_satisfies_backend_protocol(self):
-        from repro.smt.backend import Backend
-
-        assert isinstance(Solver(), Backend)
+    with one_shot_smt():
+        fresh = verdict()
+    assert verdict() == fresh == Result.UNKNOWN

@@ -312,17 +312,17 @@ class TestConfigAndKeys:
         assert base != config_fingerprint(
             CheckConfig(max_fixpoint_iterations=7))
         assert base != config_fingerprint(
-            CheckConfig(fixpoint_strategy="naive"))
-        assert base != config_fingerprint(
             CheckConfig(solver=SolverOptions(max_theory_iterations=2)))
 
     def test_config_fingerprint_ignores_capacity_and_output(self):
         base = config_fingerprint(CheckConfig())
-        # Verdicts are identical under both SMT modes (differential fuzz
-        # suite) and unaffected by cache sizing or output options.
-        assert base == config_fingerprint(CheckConfig(smt_mode="fresh"))
+        # Verdicts are unaffected by cache sizing, parallelism or output
+        # options.
         assert base == config_fingerprint(
             CheckConfig(warnings_as_errors=True))
+        assert base == config_fingerprint(CheckConfig(jobs=4))
+        assert base == config_fingerprint(
+            CheckConfig(solver=SolverOptions(context_cache_limit=1)))
         assert base == config_fingerprint(
             CheckConfig(document_cache_limit=2))
         assert base == config_fingerprint(

@@ -125,11 +125,13 @@ class TestSingleFileReplay:
         recheck = _fresh_check(other, SAFE)
         assert recheck.stats.queries > 0  # config fingerprint differs
 
-    def test_smt_mode_shares_one_fingerprint(self, tmp_path):
-        # Verdicts are mode-independent (differential fuzz suite), so a
-        # fresh-context process replays an incremental-context run.
-        cold = _fresh_check(_config(tmp_path), SAFE)
-        warm = _fresh_check(_config(tmp_path, smt_mode="fresh"), SAFE)
+    def test_smt_mode_shares_one_fingerprint(self, tmp_path, one_shot_smt):
+        # Stored verdicts are engine-independent (differential fuzz suite),
+        # so a run of the context engine replays one made by the one-shot
+        # reference engine.
+        with one_shot_smt():
+            cold = _fresh_check(_config(tmp_path), SAFE)
+        warm = _fresh_check(_config(tmp_path), SAFE)
         assert_zero_sat_replay(cold, warm)
 
     def test_readonly_mode_replays_but_never_writes(self, tmp_path):
