@@ -120,9 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (default: text)")
     bench.add_argument("--out", metavar="FILE", default=None,
                        help="where to write the machine-readable report "
-                            "(default: BENCH_fixpoint.json for figure6, "
-                            "BENCH_incremental.json for incremental, in the "
-                            "current directory, i.e. the repo root in CI)")
+                            "(default: BENCH_<table>.json in the current "
+                            "directory, i.e. the repo root in CI)")
     bench.add_argument("--clients", type=int, default=4, metavar="N",
                        help="serve: number of concurrent editing clients "
                             "(default: 4)")
@@ -455,143 +454,79 @@ def cmd_watch(args: argparse.Namespace) -> int:
                  max_scans=args.max_scans)
 
 
-def _emit_bench_report(args: argparse.Namespace, report: dict,
-                       default_out: str, label: str, partial: bool,
-                       render_text) -> None:
-    """Dump and print a machine-readable bench report.
+def cmd_bench(args: argparse.Namespace) -> int:
+    """Run one bench suite, print its table and dump ``BENCH_<suite>.json``.
 
     A partial (--only) run would clobber a full report with one the
-    regression gate reads as missing benchmarks, so it is only written for
-    full runs unless the user redirected the output explicitly."""
-    import pathlib
-    out = args.out or default_out
-    dump = not partial or args.out is not None
-    if dump:
-        pathlib.Path(out).write_text(json.dumps(report, indent=2) + "\n")
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-        return
-    print(render_text())
-    if dump:
-        print(f"\n{label} report written to {out}")
-    else:
-        print(f"\npartial run: {label} report not written "
-              "(pass --out FILE to dump it)")
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
+    regression gate reads as missing rows, so it is only written for full
+    runs unless the user redirected the output explicitly.  Exit 1 if any
+    ``safe``/``identical``/``jobs_identical`` row reads 0."""
     from repro import bench
     import pathlib
     programs_dir = pathlib.Path(args.programs_dir) if args.programs_dir else None
+    if args.table == "serve" and (args.clients < 1 or args.edit_rate <= 0):
+        print("repro: --clients must be >= 1 and --edit-rate > 0",
+              file=sys.stderr)
+        return EXIT_USAGE
+    if args.table == "cache" and args.workers < 2:
+        print("repro: --workers must be >= 2 (one cold worker plus "
+              "warm fleet)", file=sys.stderr)
+        return EXIT_USAGE
+    suite = bench.SUITES.get(args.table)  # None for the figure7 table
+    full = suite.benchmarks if suite else bench.BENCHMARKS
+    known = bench.MODULE_BENCHMARKS if args.table == "modules" \
+        else bench.BENCHMARKS
+    names = args.only or list(full)
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"repro: unknown benchmark(s): {', '.join(unknown)}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    runs = {
+        "figure6": lambda: bench.figure6_rows(
+            names, programs_dir=programs_dir),
+        "incremental": lambda: bench.incremental_rows(
+            names, programs_dir=programs_dir),
+        "modules": lambda: bench.modules_rows(
+            names, modules_dir=programs_dir),
+        "store": lambda: bench.store_rows(names, programs_dir=programs_dir),
+        "serve": lambda: bench.serve_rows(
+            args.clients, args.edit_rate, names, programs_dir=programs_dir),
+        "cache": lambda: bench.cache_rows(
+            args.workers, names, programs_dir=programs_dir),
+        "obs": lambda: bench.obs_rows(names, programs_dir=programs_dir),
+        "speed": lambda: bench.speed_rows(names, programs_dir=programs_dir),
+    }
     try:
-        if args.table == "serve":
-            if args.clients < 1 or args.edit_rate <= 0:
-                print("repro: --clients must be >= 1 and --edit-rate > 0",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            load = bench.serve_load(clients=args.clients,
-                                    edit_rate=args.edit_rate,
-                                    programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.serve_report(load),
-                "BENCH_serve.json", "serve", False,
-                lambda: bench.format_serve(load))
-            return EXIT_OK if load.ok else EXIT_UNSAFE
-        if args.table == "cache":
-            if args.workers < 2:
-                print("repro: --workers must be >= 2 (one cold worker plus "
-                      "warm fleet)", file=sys.stderr)
-                return EXIT_USAGE
-            unknown = [n for n in (args.only or [])
-                       if n not in bench.BENCHMARKS]
-            if unknown:
-                print(f"repro: unknown benchmark(s): {', '.join(unknown)}",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            fleet = bench.cache_fleet(workers=args.workers,
-                                      names=args.only,
-                                      programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.cache_report(fleet),
-                "BENCH_cache.json", "cache", False,
-                lambda: bench.format_cache(fleet))
-            return EXIT_OK if fleet.ok else EXIT_UNSAFE
-        if args.table == "obs":
-            names = args.only or list(bench.OBS_BENCHMARKS)
-            unknown = [n for n in names if n not in bench.BENCHMARKS]
-            if unknown:
-                print(f"repro: unknown benchmark(s): {', '.join(unknown)}",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            partial = set(names) != set(bench.OBS_BENCHMARKS)
-            rows = bench.obs_rows(names, programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.obs_report(rows),
-                "BENCH_obs.json", "obs", partial,
-                lambda: bench.format_obs(rows))
-            return EXIT_OK if all(row.safe for row in rows) else EXIT_UNSAFE
-        known = (bench.MODULE_BENCHMARKS if args.table == "modules"
-                 else bench.BENCHMARKS)
-        names = args.only or known
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            print(f"repro: unknown benchmark(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        partial = set(names) != set(known)
-        if args.table == "modules":
-            rows = bench.modules_rows(names, modules_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.modules_report(rows),
-                "BENCH_modules.json", "modules", partial,
-                lambda: bench.format_modules(rows))
-            return EXIT_OK if all(row.safe for row in rows) else EXIT_UNSAFE
-        if args.table == "store":
-            rows = bench.store_rows(names if partial else None,
-                                    programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.store_report(rows),
-                "BENCH_store.json", "store", partial,
-                lambda: bench.format_store(rows))
-            ok = all(row.safe and row.identical for row in rows)
-            return EXIT_OK if ok else EXIT_UNSAFE
-        if args.table == "speed":
-            rows = bench.speed_rows(names if partial else None,
-                                    programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.speed_report(rows),
-                "BENCH_speed.json", "speed", partial,
-                lambda: bench.format_speed(rows))
-            ok = all(row.safe and row.identical and row.jobs_identical
-                     for row in rows)
-            return EXIT_OK if ok else EXIT_UNSAFE
-        if args.table == "incremental":
-            rows = bench.incremental_rows(names, programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.incremental_report(rows),
-                "BENCH_incremental.json", "incremental", partial,
-                lambda: bench.format_incremental(rows))
-            return EXIT_OK if all(row.safe for row in rows) else EXIT_UNSAFE
-        if args.table == "figure6":
-            rows = bench.figure6_rows(names, programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.fixpoint_report(rows),
-                "BENCH_fixpoint.json", "fixpoint", partial,
-                lambda: bench.format_figure6(rows))
-            return EXIT_OK if all(row.safe for row in rows) else EXIT_UNSAFE
-        if args.format == "json":
-            payload = [{"name": n, "loc": bench.count_loc(
-                            bench.source_of(n, programs_dir)),
-                        "imp_diff": bench.CODE_CHANGES[n][0],
-                        "all_diff": bench.CODE_CHANGES[n][1]}
-                       for n in names]
-            print(json.dumps(payload, indent=2))
-        else:
-            print(bench.format_figure7(names, programs_dir=programs_dir))
-        return EXIT_OK
+        if args.table == "figure7":
+            if args.format == "json":
+                payload = [{"name": n, "loc": bench.count_loc(
+                                bench.source_of(n, programs_dir)),
+                            "imp_diff": bench.CODE_CHANGES[n][0],
+                            "all_diff": bench.CODE_CHANGES[n][1]}
+                           for n in names]
+                print(json.dumps(payload, indent=2))
+            else:
+                print(bench.format_figure7(names, programs_dir=programs_dir))
+            return EXIT_OK
+        rows = runs[args.table]()
     except FileNotFoundError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    report = bench.bench_report(args.table, rows)
+    out = args.out or f"BENCH_{args.table}.json"
+    dump = set(names) == set(full) or args.out is not None
+    if dump:
+        pathlib.Path(out).write_text(bench.dump_report(report))
+    if args.format == "json":
+        print(bench.dump_report(report), end="")
+    else:
+        print(bench.format_figure6(rows) if args.table == "figure6"
+              else bench.format_rows(args.table, rows))
+        print(f"\n{args.table} report written to {out}" if dump else
+              f"\npartial run: {args.table} report not written "
+              "(pass --out FILE to dump it)")
+    return EXIT_UNSAFE if bench.verdict_failed(rows) else EXIT_OK
 
 
 def cmd_cache(args: argparse.Namespace) -> int:

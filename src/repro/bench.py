@@ -1,4 +1,5 @@
-"""Benchmark support: regenerating the paper's evaluation tables.
+"""Benchmark support: the paper's evaluation tables and the ``repro bench``
+suites.
 
 Figure 6 reports, per benchmark: LOC, the number of trivial (T), mutability
 (M) and refinement (R) annotations, and the checking time.  Figure 7 reports
@@ -18,24 +19,26 @@ The ImpDiff/AllDiff columns of Figure 7 describe the effort of porting the
 original JavaScript to RSC; for our nanoTS ports these were recorded while
 the ports were written and are stored in :data:`CODE_CHANGES`.
 
-All checking goes through one shared :class:`repro.Session`, so a Figure 6
-run amortises a single solver (and its query cache) across all seven
-benchmarks — pass an explicit session to :func:`check_benchmark` to control
-the lifetime yourself.
-
-A Figure 6 run also reports the liquid-fixpoint engine's counters; the
-machine-readable report (:func:`fixpoint_report`) is what ``repro bench
-figure6`` dumps as ``BENCH_fixpoint.json`` and what CI diffs against
-``benchmarks/baseline.json``.
+Every suite in :data:`SUITES` (``figure6``, ``incremental``, ``modules``,
+``store``, ``serve``, ``cache``, ``obs``, ``speed``) produces one flat list
+of rows ``{suite, benchmark, metric, value}`` (:func:`metric_rows`):
+nested measurements flatten to dotted metric names such as
+``warm.sat_calls``, booleans become 0/1, and suite-wide numbers sit under
+the benchmark :data:`ALL`.  :func:`bench_report` wraps the rows in the
+``repro-bench/2`` envelope that ``repro bench`` dumps as
+``BENCH_<suite>.json`` and ``benchmarks/check_regression.py`` gates against
+the bounds in ``benchmarks/baseline.json``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import re
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import CheckConfig
 from repro.core.session import Session
@@ -83,6 +86,127 @@ _MUTABILITY_MARKERS = re.compile(
     r"\bimmutable\b|\bIArray\b|\bROArray\b|\bUArray\b|Array<\s*(IM|MU|RO|UQ)")
 
 
+# ---------------------------------------------------------------------------
+# bench rows: one schema for every suite
+# ---------------------------------------------------------------------------
+
+#: Schema identifier stamped into every bench report.
+BENCH_SCHEMA = "repro-bench/2"
+
+#: Benchmark name of a suite's suite-wide rows (totals, fleet verdicts).
+ALL = "all"
+
+#: Metrics (last dotted component) whose 0 means an unsafe or diverging
+#: verdict; ``repro bench`` exits 1 if any row of them reads 0.
+VERDICT_METRICS = ("safe", "identical", "jobs_identical")
+
+
+def metric_rows(suite: str, benchmark: str, metrics: dict,
+                prefix: str = "") -> List[dict]:
+    """Flatten one benchmark's nested measurements into bench rows.
+
+    Nested keys join with dots (``{"warm": {"queries": 0}}`` becomes the
+    metric ``warm.queries``), booleans become 0/1, and values that are not
+    numbers (module names, error text) are left out."""
+    rows: List[dict] = []
+    for key, value in metrics.items():
+        metric = f"{prefix}{key}"
+        if isinstance(value, dict):
+            rows.extend(metric_rows(suite, benchmark, value, metric + "."))
+        elif isinstance(value, (bool, int, float)):
+            rows.append({"suite": suite, "benchmark": benchmark,
+                         "metric": metric,
+                         "value": int(value) if isinstance(value, bool)
+                         else value})
+    return rows
+
+
+def bench_report(suite: str, rows: List[dict]) -> dict:
+    """The machine-readable report ``repro bench`` dumps as
+    ``BENCH_<suite>.json``."""
+    return {"schema": BENCH_SCHEMA, "suite": suite, "rows": rows}
+
+
+def dump_report(report: dict) -> str:
+    """``report`` as JSON text with one row per line (diff-friendly)."""
+    rows = ",\n    ".join(json.dumps(row) for row in report["rows"])
+    return (f'{{"schema": {json.dumps(report["schema"])}, '
+            f'"suite": {json.dumps(report["suite"])}, "rows": [\n'
+            f'    {rows}\n]}}\n')
+
+
+def verdict_failed(rows: List[dict]) -> bool:
+    """True iff some verdict metric (:data:`VERDICT_METRICS`) reads 0."""
+    return any(row["metric"].rsplit(".", 1)[-1] in VERDICT_METRICS
+               and row["value"] == 0 for row in rows)
+
+
+def pivot(rows: List[dict]) -> Dict[str, Dict[str, float]]:
+    """Rows regrouped as ``{benchmark: {metric: value}}``, in row order."""
+    table: Dict[str, Dict[str, float]] = {}
+    for row in rows:
+        table.setdefault(row["benchmark"], {})[row["metric"]] = row["value"]
+    return table
+
+
+def _cell(value) -> str:
+    if value is None:
+        return "-"
+    return f"{value:.3f}" if isinstance(value, float) else str(value)
+
+
+def format_rows(suite: str, rows: List[dict]) -> str:
+    """The text table ``repro bench`` prints for a suite: one line per
+    benchmark over the suite's :attr:`Suite.columns`, then the suite-wide
+    (:data:`ALL`) metrics one per line."""
+    spec = SUITES[suite]
+    table = pivot(rows)
+    overall = table.pop(ALL, {})
+    grid = [["benchmark", *spec.columns]]
+    grid += [[name, *(_cell(metrics.get(column))
+                      for column in spec.columns)]
+             for name, metrics in table.items()]
+    widths = [max(len(line[i]) for line in grid)
+              for i in range(len(grid[0]))]
+    rendered = ["  ".join([line[0].ljust(widths[0])]
+                          + [cell.rjust(width) for cell, width
+                             in zip(line[1:], widths[1:])])
+                for line in grid]
+    lines = [spec.title, rendered[0], "-" * len(rendered[0]), *rendered[1:]]
+    if overall:
+        lines.append("")
+        lines += [f"{metric} = {_cell(value)}"
+                  for metric, value in overall.items()]
+    return "\n".join(lines)
+
+
+def verdict(outcome) -> list:
+    """The byte-comparable verdict of a check, per checked file: its
+    diagnostics (code, message, span, severity) and solved kappa
+    refinements, JSON-normalised.
+
+    ``outcome`` is a :class:`CheckResult`, anything holding ``.results``
+    (a batch or a project build), or the parsed ``repro check --format
+    json`` output of a worker process — so verdicts compare across engine
+    configurations, stores and processes alike."""
+    if isinstance(outcome, dict):
+        files = outcome.get("files", [])
+    else:
+        files = [r.to_dict() for r in getattr(outcome, "results", [outcome])]
+    return json.loads(json.dumps(
+        [[f.get("diagnostics", []), f.get("kappas", {})] for f in files]))
+
+
+def _stat(result, name: str) -> int:
+    """One solver counter of a check result (0 when it has no stats)."""
+    return getattr(result.stats, name, 0)
+
+
+# ---------------------------------------------------------------------------
+# Figure 6 / Figure 7 (`repro bench figure6|figure7`)
+# ---------------------------------------------------------------------------
+
+
 def default_programs_dir() -> pathlib.Path:
     """Locate ``benchmarks/programs`` (env override, cwd, then repo root)."""
     env = os.environ.get("RSC_BENCH_PROGRAMS")
@@ -96,40 +220,6 @@ def default_programs_dir() -> pathlib.Path:
     raise FileNotFoundError(
         "cannot locate the benchmark programs directory; set "
         "RSC_BENCH_PROGRAMS or run from the repository root")
-
-
-@dataclass
-class BenchmarkRow:
-    name: str
-    loc: int
-    trivial: int
-    mutability: int
-    refinements: int
-    time_seconds: float
-    errors: int
-    safe: bool
-    queries: int = 0            # SMT validity/sat queries issued for this file
-    queries_issued: int = 0     # fixpoint candidate queries (gated in CI)
-    solve_rounds: int = 0       # fixpoint scheduler steps
-    queries_pruned: int = 0     # candidates discharged without an SMT query
-    cache_hits: int = 0         # solver-cache hits while checking this file
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "loc": self.loc,
-            "trivial": self.trivial,
-            "mutability": self.mutability,
-            "refinements": self.refinements,
-            "time_seconds": self.time_seconds,
-            "errors": self.errors,
-            "safe": self.safe,
-            "queries": self.queries,
-            "queries_issued": self.queries_issued,
-            "solve_rounds": self.solve_rounds,
-            "queries_pruned": self.queries_pruned,
-            "cache_hits": self.cache_hits,
-        }
 
 
 def source_of(name: str,
@@ -192,97 +282,74 @@ def shared_session() -> Session:
 
 
 def check_benchmark(name: str, session: Optional[Session] = None,
-                    programs_dir: Optional[pathlib.Path] = None) -> BenchmarkRow:
+                    programs_dir: Optional[pathlib.Path] = None) -> dict:
+    """Figure 6 measurements of one port: size, annotation counts, check
+    time and the fixpoint's counters (``queries_issued`` is the gated
+    fixpoint candidate-query count; ``queries`` counts SMT queries)."""
     source = source_of(name, programs_dir)
     session = session or shared_session()
     result = session.check_source(source, filename=f"{name}.rsc")
     trivial, mut, refs = count_annotations(source)
     solve = result.solve_stats
-    return BenchmarkRow(name=name, loc=count_loc(source), trivial=trivial,
-                        mutability=mut, refinements=refs,
-                        time_seconds=result.time_seconds,
-                        errors=len(result.errors), safe=result.ok,
-                        queries=result.stats.queries if result.stats else 0,
-                        queries_issued=solve.queries_issued if solve else 0,
-                        solve_rounds=solve.rounds if solve else 0,
-                        queries_pruned=solve.queries_pruned if solve else 0,
-                        cache_hits=result.stats.cache_hits if result.stats else 0)
+    return {
+        "loc": count_loc(source), "trivial": trivial, "mutability": mut,
+        "refinements": refs, "time_seconds": result.time_seconds,
+        "errors": len(result.errors), "safe": result.ok,
+        "queries": _stat(result, "queries"),
+        "queries_issued": solve.queries_issued if solve else 0,
+        "rounds": solve.rounds if solve else 0,
+        "queries_pruned": solve.queries_pruned if solve else 0,
+        "cache_hits": _stat(result, "cache_hits"),
+    }
 
 
 def figure6_rows(names: Optional[List[str]] = None,
                  session: Optional[Session] = None,
-                 programs_dir: Optional[pathlib.Path] = None
-                 ) -> List[BenchmarkRow]:
+                 programs_dir: Optional[pathlib.Path] = None) -> List[dict]:
+    """Check every port through one shared session (Figure 6)."""
     session = session or shared_session()
-    return [check_benchmark(name, session, programs_dir)
-            for name in (names or BENCHMARKS)]
+    rows: List[dict] = []
+    for name in names or BENCHMARKS:
+        rows += metric_rows("figure6", name,
+                            check_benchmark(name, session, programs_dir))
+    return rows
 
 
-#: Schema identifier stamped into fixpoint reports (bump on layout changes).
-FIXPOINT_REPORT_SCHEMA = "repro-bench-fixpoint/2"
-
-
-def fixpoint_report(rows: List[BenchmarkRow]) -> dict:
-    """The machine-readable report dumped as ``BENCH_fixpoint.json``."""
-    benchmarks = {
-        row.name: {
-            "name": row.name,
-            "worklist": {
-                "queries": row.queries_issued,
-                "time_seconds": row.time_seconds,
-                "rounds": row.solve_rounds,
-                "queries_pruned": row.queries_pruned,
-                "cache_hits": row.cache_hits,
-            },
-            "safe": row.safe,
-            "figure6": row.to_dict(),
-        }
-        for row in rows
-    }
-    return {
-        "schema": FIXPOINT_REPORT_SCHEMA,
-        "benchmarks": benchmarks,
-        "totals": {
-            "worklist_queries": sum(r.queries_issued for r in rows),
-            "worklist_time_seconds": sum(r.time_seconds for r in rows),
-        },
-    }
-
-
-def format_figure6(rows: List[BenchmarkRow]) -> str:
+def format_figure6(rows: List[dict]) -> str:
     lines = ["Benchmark        LOC    T    M    R   Time(s)  Errors  "
              "Queries  Pruned",
              "-" * 74]
-    total_loc = total_t = total_m = total_r = 0
-    total_q = total_p = 0
-    for row in rows:
-        lines.append(f"{row.name:15s} {row.loc:4d} {row.trivial:4d} "
-                     f"{row.mutability:4d} {row.refinements:4d} "
-                     f"{row.time_seconds:8.2f} {row.errors:6d} "
-                     f"{row.queries:8d} {row.queries_pruned:7d}")
-        total_loc += row.loc
-        total_t += row.trivial
-        total_m += row.mutability
-        total_r += row.refinements
-        total_q += row.queries
-        total_p += row.queries_pruned
+    table = pivot(rows)
+    for name, row in table.items():
+        lines.append(f"{name:15s} {row['loc']:4d} {row['trivial']:4d} "
+                     f"{row['mutability']:4d} {row['refinements']:4d} "
+                     f"{row['time_seconds']:8.2f} {row['errors']:6d} "
+                     f"{row['queries']:8d} {row['queries_pruned']:7d}")
+    total = {key: sum(row[key] for row in table.values())
+             for key in ("loc", "trivial", "mutability", "refinements",
+                         "queries", "queries_pruned")}
     lines.append("-" * 74)
-    lines.append(f"{'TOTAL':15s} {total_loc:4d} {total_t:4d} {total_m:4d} "
-                 f"{total_r:4d} {'':8s} {'':6s} {total_q:8d} {total_p:7d}")
+    lines.append(f"{'TOTAL':15s} {total['loc']:4d} {total['trivial']:4d} "
+                 f"{total['mutability']:4d} {total['refinements']:4d} "
+                 f"{'':8s} {'':6s} {total['queries']:8d} "
+                 f"{total['queries_pruned']:7d}")
     return "\n".join(lines)
 
 
-def _comparable_verdict(result) -> tuple:
-    """The parts of a :class:`CheckResult` that must match across engine
-    configurations: every diagnostic (code, message, span, severity) and
-    the solved kappa refinements, rendered to strings so the comparison is
-    byte-level."""
-    return (
-        [d.to_dict() for d in result.diagnostics],
-        {name: [str(q) for q in quals]
-         for name, quals in sorted(result.kappa_solution.items())},
-    )
+def format_figure7(names: Optional[List[str]] = None,
+                   programs_dir: Optional[pathlib.Path] = None) -> str:
+    lines = ["Benchmark        LOC  ImpDiff  AllDiff",
+             "-" * 40]
+    for name in (names or BENCHMARKS):
+        loc = count_loc(source_of(name, programs_dir))
+        imp, all_diff = CODE_CHANGES[name]
+        lines.append(f"{name:15s} {loc:4d} {imp:8d} {all_diff:8d}")
+    return "\n".join(lines)
 
+
+# ---------------------------------------------------------------------------
+# incremental edit replay (`repro bench incremental`)
+# ---------------------------------------------------------------------------
 
 #: Function edited by the scripted ``incremental`` scenario, per benchmark.
 #: The edit inserts a harmless statement at the top of this function's body,
@@ -330,146 +397,41 @@ def scripted_edits(name: str, source: str) -> List[tuple]:
     ]
 
 
-@dataclass
-class IncrementalEdit:
-    """Counters for one replayed edit of the incremental scenario."""
-
-    label: str
-    queries: int
-    time_seconds: float
-    warm: bool
-    declarations_rechecked: int
-    declarations_reused: int
-    safe: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "queries": self.queries,
-            "time_seconds": self.time_seconds,
-            "warm": self.warm,
-            "declarations_rechecked": self.declarations_rechecked,
-            "declarations_reused": self.declarations_reused,
-            "safe": self.safe,
-        }
-
-
-@dataclass
-class IncrementalRow:
-    """Cold-check vs. edit-replay numbers for one benchmark."""
-
-    name: str
-    cold_queries: int
-    cold_time_seconds: float
-    edits: List[IncrementalEdit] = field(default_factory=list)
-
-    @property
-    def safe(self) -> bool:
-        return all(edit.safe for edit in self.edits)
-
-    @property
-    def body_edit(self) -> Optional[IncrementalEdit]:
-        for edit in self.edits:
-            if edit.label == "body":
-                return edit
-        return None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cold": {
-                "queries": self.cold_queries,
-                "time_seconds": self.cold_time_seconds,
-            },
-            "edits": [edit.to_dict() for edit in self.edits],
-            "safe": self.safe,
-        }
-
-
 def incremental_rows(names: Optional[List[str]] = None,
                      programs_dir: Optional[pathlib.Path] = None
-                     ) -> List[IncrementalRow]:
+                     ) -> List[dict]:
     """Replay the scripted edit sequence per benchmark through a workspace.
 
     Each benchmark gets a fresh :class:`repro.Workspace` (cold solver) so
-    the cold-open numbers are comparable across runs; the per-edit numbers
-    then show what the incremental machinery saves inside one editing loop.
+    the cold-open numbers are comparable across runs; the per-edit metrics
+    (``comment.*``, ``body.*``, ``revert.*``) then show what the
+    incremental machinery saves inside one editing loop.
     """
-    rows: List[IncrementalRow] = []
+    rows: List[dict] = []
     for name in (names or BENCHMARKS):
         source = source_of(name, programs_dir)
         uri = f"{name}.rsc"
         workspace = Workspace(CheckConfig())
         cold = workspace.open(uri, source)
-        row = IncrementalRow(
-            name=name,
-            cold_queries=cold.stats.queries if cold.stats else 0,
-            cold_time_seconds=cold.time_seconds)
+        metrics = {"cold": {"queries": _stat(cold, "queries"),
+                            "time_seconds": cold.time_seconds}}
         for label, text in scripted_edits(name, source):
             result = workspace.update(uri, text)
             solve = result.solve_stats
-            row.edits.append(IncrementalEdit(
-                label=label,
-                queries=result.stats.queries if result.stats else 0,
-                time_seconds=result.time_seconds,
-                warm=bool(solve and solve.warm_starts),
-                declarations_rechecked=(solve.declarations_rechecked
+            metrics[label] = {
+                "queries": _stat(result, "queries"),
+                "time_seconds": result.time_seconds,
+                "warm": bool(solve and solve.warm_starts),
+                "declarations_rechecked": (solve.declarations_rechecked
+                                           if solve else 0),
+                "declarations_reused": (solve.declarations_reused
                                         if solve else 0),
-                declarations_reused=solve.declarations_reused if solve else 0,
-                safe=result.ok))
-        rows.append(row)
+                "safe": result.ok,
+            }
+        metrics["safe"] = all(edit["safe"] for label, edit in metrics.items()
+                              if label != "cold")
+        rows += metric_rows("incremental", name, metrics)
     return rows
-
-
-#: Schema identifier stamped into incremental reports.
-INCREMENTAL_REPORT_SCHEMA = "repro-bench-incremental/1"
-
-
-def incremental_report(rows: List[IncrementalRow]) -> dict:
-    """The machine-readable report dumped as ``BENCH_incremental.json``."""
-    body_total = sum(r.body_edit.queries for r in rows if r.body_edit)
-    return {
-        "schema": INCREMENTAL_REPORT_SCHEMA,
-        "benchmarks": {row.name: row.to_dict() for row in rows},
-        "totals": {
-            "cold_queries": sum(r.cold_queries for r in rows),
-            "body_edit_queries": body_total,
-        },
-    }
-
-
-def format_incremental(rows: List[IncrementalRow]) -> str:
-    """The edit-recheck table printed by ``repro bench incremental``."""
-    lines = [
-        "Incremental re-check: cold open vs scripted edits "
-        "(comment-only / one body / revert)",
-        "Benchmark        Cold-q  Comment-q  Body-q  Saved%  Re/Reused  "
-        "Cold(s)  Body(s)",
-        "-" * 82,
-    ]
-    tot_cold = tot_body = 0
-    for row in rows:
-        by_label = {edit.label: edit for edit in row.edits}
-        comment = by_label.get("comment")
-        body = by_label.get("body")
-        saved = (100 * (1 - body.queries / row.cold_queries)
-                 if body and row.cold_queries else 0.0)
-        rechecked = body.declarations_rechecked if body else 0
-        reused = body.declarations_reused if body else 0
-        lines.append(
-            f"{row.name:15s} {row.cold_queries:7d} "
-            f"{comment.queries if comment else 0:10d} "
-            f"{body.queries if body else 0:7d} {saved:6.1f} "
-            f"{rechecked:4d}/{reused:<4d} "
-            f"{row.cold_time_seconds:8.2f} "
-            f"{body.time_seconds if body else 0.0:8.2f}")
-        tot_cold += row.cold_queries
-        tot_body += body.queries if body else 0
-    lines.append("-" * 82)
-    saved = 100 * (1 - tot_body / tot_cold) if tot_cold else 0.0
-    lines.append(f"{'TOTAL':15s} {tot_cold:7d} {'':10s} {tot_body:7d} "
-                 f"{saved:6.1f}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -516,86 +478,38 @@ def default_modules_dir() -> pathlib.Path:
         "RSC_BENCH_MODULES or run from the repository root")
 
 
-@dataclass
-class ModulesRow:
-    """Cold project build vs scripted module edits for one split port."""
-
-    name: str
-    modules: int
-    batches: int
-    cold_queries: int
-    cold_time_seconds: float
-    body_module: str = ""
-    body_rechecked: int = 0
-    body_queries: int = 0
-    body_warm: bool = False
-    sig_module: str = ""
-    sig_rechecked: int = 0
-    sig_queries: int = 0
-    safe: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "modules": self.modules,
-            "batches": self.batches,
-            "cold": {
-                "queries": self.cold_queries,
-                "time_seconds": self.cold_time_seconds,
-            },
-            "body_edit": {
-                "module": self.body_module,
-                "rechecked": self.body_rechecked,
-                "queries": self.body_queries,
-                "warm": self.body_warm,
-            },
-            "sig_edit": {
-                "module": self.sig_module,
-                "rechecked": self.sig_rechecked,
-                "queries": self.sig_queries,
-            },
-            "safe": self.safe,
-        }
+def _project_root(name: str,
+                  modules_dir: Optional[pathlib.Path]) -> pathlib.Path:
+    root = (modules_dir or default_modules_dir()) / name
+    if not root.is_dir():
+        raise FileNotFoundError(f"no module benchmark at {root}")
+    return root
 
 
 def modules_rows(names: Optional[List[str]] = None,
                  modules_dir: Optional[pathlib.Path] = None
-                 ) -> List[ModulesRow]:
+                 ) -> List[dict]:
     """Replay the module-edit scenario per split benchmark.
 
     For each project: a cold build through a fresh
     :class:`repro.project.ProjectWorkspace`, then a body-only edit of one
-    leaf dependency (must re-check exactly that module, warm-started) and a
-    signature edit of the shared types module (must re-check its transitive
-    dependents, still verifying).
+    leaf dependency (``body.*``: must re-check exactly that module,
+    warm-started) and a signature edit of the shared types module
+    (``sig.*``: must re-check its transitive dependents, still verifying).
     """
     from repro.project.workspace import ProjectWorkspace
 
-    directory = modules_dir or default_modules_dir()
-    rows: List[ModulesRow] = []
+    rows: List[dict] = []
     for name in (names or MODULE_BENCHMARKS):
-        root = directory / name
-        if not root.is_dir():
-            raise FileNotFoundError(f"no module benchmark at {root}")
+        root = _project_root(name, modules_dir)
         workspace = ProjectWorkspace(root=root)
         cold = workspace.check()
-        row = ModulesRow(
-            name=name, modules=cold.num_modules, batches=cold.num_batches,
-            cold_queries=cold.stats.queries,
-            cold_time_seconds=cold.time_seconds,
-            safe=cold.ok)
 
         body_file, function = MODULE_BODY_EDITS[name]
         body_path = root / body_file
         edited = edit_function_body(body_path.read_text(), function)
-        update = workspace.update(body_path, edited)
-        edited_result = update.results[str(body_path.resolve())]
-        solve = edited_result.solve_stats
-        row.body_module = body_file
-        row.body_rechecked = len(update.rechecked)
-        row.body_queries = update.queries
-        row.body_warm = bool(solve and solve.warm_starts)
-        row.safe = row.safe and update.ok
+        body = workspace.update(body_path, edited)
+        solve = body.results[str(body_path.resolve())].solve_stats
 
         sig_file, old_line, new_line = MODULE_SIG_EDITS[name]
         sig_path = root / sig_file
@@ -603,55 +517,19 @@ def modules_rows(names: Optional[List[str]] = None,
         if old_line not in source:
             raise ValueError(f"{name}: signature-edit anchor not found "
                              f"in {sig_file}")
-        update = workspace.update(sig_path, source.replace(old_line, new_line))
-        row.sig_module = sig_file
-        row.sig_rechecked = len(update.rechecked)
-        row.sig_queries = update.queries
-        row.safe = row.safe and update.ok and update.summary_changed
-        rows.append(row)
+        sig = workspace.update(sig_path, source.replace(old_line, new_line))
+        rows += metric_rows("modules", name, {
+            "modules": cold.num_modules,
+            "batches": cold.num_batches,
+            "cold": {"queries": cold.stats.queries,
+                     "time_seconds": cold.time_seconds},
+            "body": {"rechecked": len(body.rechecked),
+                     "queries": body.queries,
+                     "warm": bool(solve and solve.warm_starts)},
+            "sig": {"rechecked": len(sig.rechecked), "queries": sig.queries},
+            "safe": cold.ok and body.ok and sig.ok and sig.summary_changed,
+        })
     return rows
-
-
-#: Schema identifier stamped into module-bench reports.
-MODULES_REPORT_SCHEMA = "repro-bench-modules/1"
-
-
-def modules_report(rows: List[ModulesRow]) -> dict:
-    """The machine-readable report dumped as ``BENCH_modules.json``."""
-    return {
-        "schema": MODULES_REPORT_SCHEMA,
-        "benchmarks": {row.name: row.to_dict() for row in rows},
-        "totals": {
-            "cold_queries": sum(r.cold_queries for r in rows),
-            "body_edit_queries": sum(r.body_queries for r in rows),
-            "sig_edit_queries": sum(r.sig_queries for r in rows),
-        },
-    }
-
-
-def format_modules(rows: List[ModulesRow]) -> str:
-    """The table printed by ``repro bench modules``."""
-    lines = [
-        "Module-graph re-check: cold build vs body-only and signature edits",
-        "Project          Mods  Batches  Cold-q  Body-re  Body-q  Warm  "
-        "Sig-re  Sig-q",
-        "-" * 78,
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.name:15s} {row.modules:5d} {row.batches:8d} "
-            f"{row.cold_queries:7d} {row.body_rechecked:8d} "
-            f"{row.body_queries:7d} {'yes' if row.body_warm else 'no':>5s} "
-            f"{row.sig_rechecked:7d} {row.sig_queries:6d}")
-    lines.append("-" * 78)
-    lines.append(
-        f"{'TOTAL':15s} {sum(r.modules for r in rows):5d} {'':8s} "
-        f"{sum(r.cold_queries for r in rows):7d} "
-        f"{sum(r.body_rechecked for r in rows):8d} "
-        f"{sum(r.body_queries for r in rows):7d} {'':5s} "
-        f"{sum(r.sig_rechecked for r in rows):7d} "
-        f"{sum(r.sig_queries for r in rows):6d}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -659,163 +537,55 @@ def format_modules(rows: List[ModulesRow]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StoreRow:
-    """Cold-process vs store-warm numbers for one benchmark.
-
-    ``kind`` is ``"file"`` (single-file port through a fresh
-    :class:`Session` per run) or ``"project"`` (module split through
-    :func:`repro.project.build.check_project`).  The warm run is a *fresh*
-    session/build against the store the cold run populated — exactly the
-    cross-process replay scenario — and must issue **zero** SMT queries and
-    zero SAT searches while producing byte-identical diagnostics and kappa
-    solutions (``identical``).
-    """
-
-    name: str
-    kind: str
-    cold_queries: int
-    cold_sat_calls: int
-    cold_time_seconds: float
-    warm_queries: int
-    warm_sat_calls: int
-    warm_time_seconds: float
-    identical: bool
-    safe: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "cold": {
-                "queries": self.cold_queries,
-                "sat_calls": self.cold_sat_calls,
-                "time_seconds": self.cold_time_seconds,
-            },
-            "warm": {
-                "queries": self.warm_queries,
-                "sat_calls": self.warm_sat_calls,
-                "time_seconds": self.warm_time_seconds,
-            },
-            "identical": self.identical,
-            "safe": self.safe,
-        }
-
-
-def _project_verdicts(result) -> list:
-    return [_comparable_verdict(r) for r in result.results]
+def _store_phase(result) -> dict:
+    return {"queries": _stat(result, "queries"),
+            "sat_calls": _stat(result, "sat_calls"),
+            "time_seconds": result.time_seconds}
 
 
 def store_rows(names: Optional[List[str]] = None,
                programs_dir: Optional[pathlib.Path] = None,
                modules_dir: Optional[pathlib.Path] = None,
-               store_dir: Optional[pathlib.Path] = None) -> List[StoreRow]:
+               store_dir: Optional[pathlib.Path] = None) -> List[dict]:
     """Run every port cold then store-warm against one persistent store.
 
     Each benchmark's cold run populates a store (a throwaway temporary
     directory unless ``store_dir`` pins one), then a completely fresh
     session — new solver, new caches, nothing shared but the store —
-    re-checks the identical sources.  The module splits go through the
-    project build the same way.
+    re-checks the identical sources; it must issue zero queries and zero
+    SAT searches (``warm.*``) with a byte-identical verdict.  The module
+    splits of the selected ports (benchmark ``<name>-modules``) go through
+    the project build the same way.
     """
     import shutil
     import tempfile
     from repro.project.build import check_project
 
+    names = names or BENCHMARKS
     root = pathlib.Path(store_dir) if store_dir else \
         pathlib.Path(tempfile.mkdtemp(prefix="repro-bench-store-"))
-    rows: List[StoreRow] = []
+    config = CheckConfig(store_path=str(root))
+    runs = [(name, lambda name=name: Session(config).check_source(
+                source_of(name, programs_dir), filename=f"{name}.rsc"))
+            for name in names]
+    runs += [(f"{name}-modules", lambda name=name: check_project(
+                 _project_root(name, modules_dir), config=config))
+             for name in MODULE_BENCHMARKS if name in names]
+    rows: List[dict] = []
     try:
-        config = CheckConfig(store_path=str(root))
-        for name in (names or BENCHMARKS):
-            source = source_of(name, programs_dir)
-            filename = f"{name}.rsc"
-            cold = Session(config).check_source(source, filename=filename)
-            warm = Session(config).check_source(source, filename=filename)
-            rows.append(StoreRow(
-                name=name, kind="file",
-                cold_queries=cold.stats.queries if cold.stats else 0,
-                cold_sat_calls=cold.stats.sat_calls if cold.stats else 0,
-                cold_time_seconds=cold.time_seconds,
-                warm_queries=warm.stats.queries if warm.stats else 0,
-                warm_sat_calls=warm.stats.sat_calls if warm.stats else 0,
-                warm_time_seconds=warm.time_seconds,
-                identical=_comparable_verdict(cold)
-                == _comparable_verdict(warm),
-                safe=cold.ok and warm.ok))
-        module_names = [n for n in (names or MODULE_BENCHMARKS)
-                        if n in MODULE_BENCHMARKS]
-        for name in module_names:
-            project_root = (modules_dir or default_modules_dir()) / name
-            if not project_root.is_dir():
-                raise FileNotFoundError(f"no module benchmark at "
-                                        f"{project_root}")
-            cold = check_project(project_root, config=config)
-            warm = check_project(project_root, config=config)
-            rows.append(StoreRow(
-                name=f"{name}-modules", kind="project",
-                cold_queries=cold.stats.queries,
-                cold_sat_calls=cold.stats.sat_calls,
-                cold_time_seconds=cold.time_seconds,
-                warm_queries=warm.stats.queries,
-                warm_sat_calls=warm.stats.sat_calls,
-                warm_time_seconds=warm.time_seconds,
-                identical=_project_verdicts(cold) == _project_verdicts(warm),
-                safe=cold.ok and warm.ok))
+        for name, run in runs:
+            cold = run()
+            warm = run()
+            rows += metric_rows("store", name, {
+                "cold": _store_phase(cold),
+                "warm": _store_phase(warm),
+                "identical": verdict(cold) == verdict(warm),
+                "safe": cold.ok and warm.ok,
+            })
     finally:
         if store_dir is None:
             shutil.rmtree(root, ignore_errors=True)
     return rows
-
-
-#: Schema identifier stamped into persistent-store reports.
-STORE_REPORT_SCHEMA = "repro-bench-store/1"
-
-
-def store_report(rows: List[StoreRow]) -> dict:
-    """The machine-readable report dumped as ``BENCH_store.json``."""
-    return {
-        "schema": STORE_REPORT_SCHEMA,
-        "benchmarks": {row.name: row.to_dict() for row in rows},
-        "totals": {
-            "cold_queries": sum(r.cold_queries for r in rows),
-            "cold_sat_calls": sum(r.cold_sat_calls for r in rows),
-            "warm_queries": sum(r.warm_queries for r in rows),
-            "warm_sat_calls": sum(r.warm_sat_calls for r in rows),
-            "cold_time_seconds": sum(r.cold_time_seconds for r in rows),
-            "warm_time_seconds": sum(r.warm_time_seconds for r in rows),
-        },
-    }
-
-
-def format_store(rows: List[StoreRow]) -> str:
-    """The table printed by ``repro bench store``."""
-    lines = [
-        "Persistent store: cold process vs store-warm fresh process",
-        "Benchmark            Kind     Cold-q  Cold-sat  Warm-q  Warm-sat  "
-        "Same  Cold(s)  Warm(s)",
-        "-" * 88,
-    ]
-    tot_cq = tot_cs = tot_wq = tot_ws = 0
-    tot_ct = tot_wt = 0.0
-    for row in rows:
-        lines.append(
-            f"{row.name:20s} {row.kind:8s} {row.cold_queries:6d} "
-            f"{row.cold_sat_calls:9d} {row.warm_queries:7d} "
-            f"{row.warm_sat_calls:9d} "
-            f"{'yes' if row.identical else 'NO':>5s} "
-            f"{row.cold_time_seconds:8.2f} {row.warm_time_seconds:8.2f}")
-        tot_cq += row.cold_queries
-        tot_cs += row.cold_sat_calls
-        tot_wq += row.warm_queries
-        tot_ws += row.warm_sat_calls
-        tot_ct += row.cold_time_seconds
-        tot_wt += row.warm_time_seconds
-    lines.append("-" * 88)
-    lines.append(f"{'TOTAL':20s} {'':8s} {tot_cq:6d} {tot_cs:9d} "
-                 f"{tot_wq:7d} {tot_ws:9d} {'':5s} {tot_ct:8.2f} "
-                 f"{tot_wt:8.2f}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -841,74 +611,6 @@ class ServeClientResult:
     identical: bool = False
     safe: bool = False
     error: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        from repro.obs.metrics import percentile
-        return {
-            "tenant": self.tenant,
-            "benchmark": self.benchmark,
-            "requests": self.requests,
-            "checks_ok": self.checks_ok,
-            "cancelled": self.cancelled,
-            "backpressure": self.backpressure,
-            "p50_ms": percentile(self.latencies_ms, 50.0),
-            "p99_ms": percentile(self.latencies_ms, 99.0),
-            "identical": self.identical,
-            "safe": self.safe,
-            "error": self.error,
-        }
-
-
-@dataclass
-class ServeLoadResult:
-    """The aggregate of one ``repro bench serve`` run."""
-
-    clients: int
-    edit_rate: float
-    wall_seconds: float
-    rows: List[ServeClientResult] = field(default_factory=list)
-    server_stats: dict = field(default_factory=dict)
-
-    @property
-    def latencies_ms(self) -> List[float]:
-        return [ms for row in self.rows for ms in row.latencies_ms]
-
-    @property
-    def checks_ok(self) -> int:
-        return sum(row.checks_ok for row in self.rows)
-
-    @property
-    def cancelled_queued(self) -> int:
-        return int(self.server_stats.get("totals", {})
-                   .get("cancelled_queued", 0))
-
-    @property
-    def cancelled_inflight(self) -> int:
-        return int(self.server_stats.get("totals", {})
-                   .get("cancelled_inflight", 0))
-
-    @property
-    def cancelled(self) -> int:
-        return self.cancelled_queued + self.cancelled_inflight
-
-    @property
-    def throughput_cps(self) -> float:
-        return self.checks_ok / self.wall_seconds if self.wall_seconds else 0.0
-
-    @property
-    def identical(self) -> bool:
-        return all(row.identical for row in self.rows)
-
-    @property
-    def safe(self) -> bool:
-        return all(row.safe for row in self.rows)
-
-    @property
-    def ok(self) -> bool:
-        """Load run acceptance: every client's diagnostics byte-identical
-        to its sequential replay, every verdict safe, and at least one
-        check observably cancelled by a superseding edit."""
-        return self.identical and self.safe and self.cancelled >= 1
 
 
 def _replay_sequentially(uri: str, transcript: List[tuple],
@@ -989,31 +691,37 @@ def _run_serve_client(host: str, port: int, name: str, source: str,
         row.safe = False
 
 
-def serve_load(clients: int = 4, edit_rate: float = 2.0,
+def serve_rows(clients: int = 4, edit_rate: float = 2.0,
+               names: Optional[List[str]] = None,
                programs_dir: Optional[pathlib.Path] = None,
-               config: Optional[CheckConfig] = None) -> ServeLoadResult:
+               config: Optional[CheckConfig] = None) -> List[dict]:
     """Load-test the socket server with concurrent editing clients.
 
     Starts an in-process :class:`repro.service.server.ServerThread`, points
-    ``clients`` threads at it (each under its own tenant, replaying its
-    benchmark's scripted edit sequence at ``edit_rate`` edits/second, plus
-    one pipelined superseding pair), then collects the server's ``stats``
-    and compares every client's served diagnostics against a sequential
-    single-client replay.
+    ``clients`` threads at it (client ``i`` edits ``names[i % len]``, default
+    :data:`SERVE_BENCHMARKS`, under its own tenant ``client-i``, replaying
+    the scripted edit sequence at ``edit_rate`` edits/second plus one
+    pipelined superseding pair), then collects the server's ``stats`` and
+    compares every client's served diagnostics against a sequential
+    single-client replay.  Per-tenant rows carry latency percentiles and
+    ``error`` (1 if the client thread died); the :data:`ALL` row carries
+    the run's ``identical``/``safe`` verdicts, ``cancelled`` (queued plus
+    in flight), latency percentiles and throughput.
     """
     import threading
     import time as _time
 
     from repro.client import Client
+    from repro.obs.metrics import percentile
     from repro.service.server import ServerThread
 
     config = config or CheckConfig()
-    rows = [ServeClientResult(
-                tenant=f"client-{index}",
-                benchmark=SERVE_BENCHMARKS[index % len(SERVE_BENCHMARKS)])
-            for index in range(clients)]
+    names = names or SERVE_BENCHMARKS
+    results = [ServeClientResult(tenant=f"client-{index}",
+                                 benchmark=names[index % len(names)])
+               for index in range(clients)]
     sources = {row.benchmark: source_of(row.benchmark, programs_dir)
-               for row in rows}
+               for row in results}
     start = _time.perf_counter()
     with ServerThread(config) as server:
         threads = [
@@ -1022,77 +730,41 @@ def serve_load(clients: int = 4, edit_rate: float = 2.0,
                 args=(server.host, server.port, row.benchmark,
                       sources[row.benchmark], edit_rate, row, config),
                 name=row.tenant)
-            for row in rows]
+            for row in results]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         wall = _time.perf_counter() - start
         with Client.connect(server.host, server.port) as control:
-            stats = control.stats()
+            totals = control.stats().to_json().get("totals", {})
             control.shutdown()
-    return ServeLoadResult(clients=clients, edit_rate=edit_rate,
-                           wall_seconds=wall, rows=rows,
-                           server_stats=stats.to_json())
-
-
-#: Schema identifier stamped into serve-load reports.
-SERVE_REPORT_SCHEMA = "repro-bench-serve/1"
-
-
-def serve_report(load: ServeLoadResult) -> dict:
-    """The machine-readable report dumped as ``BENCH_serve.json``."""
-    from repro.obs.metrics import percentile
-    return {
-        "schema": SERVE_REPORT_SCHEMA,
-        "clients": load.clients,
-        "edit_rate": load.edit_rate,
-        "wall_seconds": load.wall_seconds,
-        "checks_ok": load.checks_ok,
-        "cancelled_queued": load.cancelled_queued,
-        "cancelled_inflight": load.cancelled_inflight,
-        "p50_ms": percentile(load.latencies_ms, 50.0),
-        "p99_ms": percentile(load.latencies_ms, 99.0),
-        "throughput_cps": load.throughput_cps,
-        "identical": load.identical,
-        "safe": load.safe,
-        "tenants": {row.tenant: row.to_dict() for row in load.rows},
-        "server": load.server_stats.get("totals", {}),
-    }
-
-
-def format_serve(load: ServeLoadResult) -> str:
-    """The table printed by ``repro bench serve``."""
-    from repro.obs.metrics import percentile
-    lines = [
-        f"Check service: {load.clients} concurrent clients x "
-        f"{load.edit_rate:g} edits/s (supersede pair per client)",
-        "Tenant       Benchmark        Reqs  OK  Cancel  p50(ms)  p99(ms)  "
-        "Same  Safe",
-        "-" * 78,
-    ]
-    for row in load.rows:
-        lines.append(
-            f"{row.tenant:12s} {row.benchmark:15s} {row.requests:5d} "
-            f"{row.checks_ok:3d} {row.cancelled:7d} "
-            f"{percentile(row.latencies_ms, 50.0):8.1f} "
-            f"{percentile(row.latencies_ms, 99.0):8.1f} "
-            f"{'yes' if row.identical else 'NO':>5s} "
-            f"{'yes' if row.safe else 'NO':>5s}"
-            + (f"  [{row.error}]" if row.error else ""))
-    lines.append("-" * 78)
-    lines.append(
-        f"{'TOTAL':12s} {'':15s} {sum(r.requests for r in load.rows):5d} "
-        f"{load.checks_ok:3d} {load.cancelled:7d} "
-        f"{percentile(load.latencies_ms, 50.0):8.1f} "
-        f"{percentile(load.latencies_ms, 99.0):8.1f}")
-    lines.append(
-        f"cancelled: {load.cancelled_queued} queued + "
-        f"{load.cancelled_inflight} in-flight; throughput "
-        f"{load.throughput_cps:.2f} checks/s over {load.wall_seconds:.2f}s; "
-        f"diagnostics identical to sequential replay: "
-        f"{'yes' if load.identical else 'NO'}")
-    return "\n".join(lines)
+    rows: List[dict] = []
+    for row in results:
+        if row.error:
+            print(f"repro bench serve: {row.tenant} died: {row.error}",
+                  file=sys.stderr)
+        rows += metric_rows("serve", row.tenant, {
+            "requests": row.requests, "checks_ok": row.checks_ok,
+            "cancelled": row.cancelled, "backpressure": row.backpressure,
+            "p50_ms": percentile(row.latencies_ms, 50.0),
+            "p99_ms": percentile(row.latencies_ms, 99.0),
+            "identical": row.identical, "safe": row.safe,
+            "error": bool(row.error)})
+    latencies = [ms for row in results for ms in row.latencies_ms]
+    checks_ok = sum(row.checks_ok for row in results)
+    return rows + metric_rows("serve", ALL, {
+        "clients": clients, "edit_rate": edit_rate, "wall_seconds": wall,
+        "checks_ok": checks_ok,
+        "cancelled": (int(totals.get("cancelled_queued", 0))
+                      + int(totals.get("cancelled_inflight", 0))),
+        "p50_ms": percentile(latencies, 50.0),
+        "p99_ms": percentile(latencies, 99.0),
+        "throughput_cps": checks_ok / wall if wall else 0.0,
+        "identical": all(row.identical for row in results),
+        "safe": all(row.safe for row in results),
+        "server": totals,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -1104,119 +776,13 @@ def format_serve(load: ServeLoadResult) -> str:
 FAULT_BENCHMARKS = ["tsc-checker", "d3-arrays"]
 
 
-@dataclass
-class CacheWorkerRow:
-    """One fleet worker: a fresh ``repro check`` subprocess sharing the
-    cache server.  ``role`` is ``"cold"`` (first worker, populates the
-    server) or ``"warm-N"`` (must replay with zero queries and zero SAT
-    searches)."""
-
-    role: str
-    queries: int = 0
-    sat_calls: int = 0
-    time_seconds: float = 0.0
-    identical: bool = False
-    safe: bool = False
-    store: dict = field(default_factory=dict)
-    error: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "role": self.role,
-            "queries": self.queries,
-            "sat_calls": self.sat_calls,
-            "time_seconds": self.time_seconds,
-            "identical": self.identical,
-            "safe": self.safe,
-            "store": self.store,
-            "error": self.error,
-        }
-
-
-@dataclass
-class CacheFleetResult:
-    """What ``repro bench cache`` measured and asserted.
-
-    The contract: N fresh worker processes sharing one cache server are
-    byte-identical to an in-process sequential replay, the warm workers
-    issue zero fixpoint queries and zero SAT searches, and the whole
-    fleet's SAT total equals the one cold worker's — shared caching makes
-    fleet cost independent of fleet size.  The fault phase re-runs two
-    workers against a server that drops, delays and corrupts responses
-    and requires the same verdicts with the degradation *counted*.
-    """
-
-    workers: int
-    names: List[str]
-    rows: List[CacheWorkerRow] = field(default_factory=list)
-    server: dict = field(default_factory=dict)
-    fault: Optional[dict] = None
-
-    @property
-    def cold_row(self) -> Optional[CacheWorkerRow]:
-        return next((r for r in self.rows if r.role == "cold"), None)
-
-    @property
-    def identical(self) -> bool:
-        return bool(self.rows) and all(r.identical and not r.error
-                                       for r in self.rows)
-
-    @property
-    def safe(self) -> bool:
-        return bool(self.rows) and all(r.safe for r in self.rows)
-
-    @property
-    def warm_zero(self) -> bool:
-        warm = [r for r in self.rows if r.role != "cold"]
-        return bool(warm) and all(r.queries == 0 and r.sat_calls == 0
-                                  for r in warm)
-
-    @property
-    def fleet_sat_calls(self) -> int:
-        return sum(r.sat_calls for r in self.rows)
-
-    @property
-    def sat_budget_ok(self) -> bool:
-        """The fleet's entire SAT spend is exactly one cold worker's."""
-        cold = self.cold_row
-        return cold is not None and self.fleet_sat_calls == cold.sat_calls
-
-    @property
-    def fault_ok(self) -> bool:
-        if self.fault is None:
-            return True
-        return bool(self.fault.get("identical")
-                    and self.fault.get("safe")
-                    and self.fault.get("degraded_ops", 0) > 0
-                    and self.fault.get("injected_ops", 0) > 0)
-
-    @property
-    def ok(self) -> bool:
-        return (self.identical and self.safe and self.warm_zero
-                and self.sat_budget_ok and self.fault_ok)
-
-
-def _sequential_verdicts(paths: List[str]) -> list:
-    """The reference: one fresh in-process session, no store, JSON-shaped
-    so it compares byte-for-byte with a worker subprocess's report."""
-    import json as _json
-    batch = Session(CheckConfig()).check_files(paths)
-    return _json.loads(_json.dumps(
-        [_comparable_verdict(r) for r in batch.results]))
-
-
-def _worker_verdicts(report: dict) -> list:
-    return [[f.get("diagnostics", []), f.get("kappas", {})]
-            for f in report.get("files", [])]
-
-
 def _run_cache_worker(role: str, paths: List[str], store_url: str,
-                      reference: list) -> CacheWorkerRow:
+                      reference: list) -> dict:
     """One fresh ``repro check --format json`` subprocess against the
-    shared server; nothing but the store URL connects it to this process."""
-    import json as _json
+    shared server; nothing but the store URL connects it to this process.
+    Its metrics: queries, SAT searches, time, verdict vs ``reference``,
+    the worker's ``store`` counters and ``error`` (1 if it crashed)."""
     import subprocess
-    import sys
 
     src_dir = str(pathlib.Path(__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -1229,28 +795,32 @@ def _run_cache_worker(role: str, paths: List[str], store_url: str,
     trace_id = current_trace_id()
     if env.get("REPRO_TRACE") and trace_id and "REPRO_TRACE_ID" not in env:
         env["REPRO_TRACE_ID"] = trace_id
-    row = CacheWorkerRow(role=role)
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "check", "--format", "json",
          "--store", store_url, *paths],
         capture_output=True, text=True, env=env, timeout=600)
+    error = ""
+    report: dict = {}
     if proc.returncode not in (0, 1):
-        row.error = (f"worker exited {proc.returncode}: "
-                     f"{proc.stderr.strip()[:200]}")
-        return row
-    try:
-        report = _json.loads(proc.stdout)
-    except ValueError as exc:
-        row.error = f"unparseable worker output: {exc}"
-        return row
+        error = (f"worker exited {proc.returncode}: "
+                 f"{proc.stderr.strip()[:200]}")
+    else:
+        try:
+            report = json.loads(proc.stdout)
+        except ValueError as exc:
+            error = f"unparseable worker output: {exc}"
+    if error:
+        print(f"repro bench cache: {role}: {error}", file=sys.stderr)
     stats = report.get("solver_stats") or {}
-    row.queries = int(stats.get("queries", 0))
-    row.sat_calls = int(stats.get("sat_calls", 0))
-    row.time_seconds = float(report.get("time_seconds", 0.0))
-    row.safe = bool(report.get("ok"))
-    row.store = report.get("store") or {}
-    row.identical = _worker_verdicts(report) == reference
-    return row
+    return {
+        "queries": int(stats.get("queries", 0)),
+        "sat_calls": int(stats.get("sat_calls", 0)),
+        "time_seconds": float(report.get("time_seconds", 0.0)),
+        "identical": not error and verdict(report) == reference,
+        "safe": bool(report.get("ok")),
+        "store": report.get("store") or {},
+        "error": bool(error),
+    }
 
 
 def _bench_paths(names: List[str],
@@ -1263,57 +833,64 @@ def _bench_paths(names: List[str],
     return paths
 
 
-def cache_fleet(workers: int = 3, names: Optional[List[str]] = None,
-                programs_dir: Optional[pathlib.Path] = None,
-                fault_names: Optional[List[str]] = None) -> CacheFleetResult:
+def _server_stats(port: int) -> dict:
+    """Ping the cache server on ``port``, then shut it down."""
+    from repro.store.remote import RemoteStoreBackend
+    probe = RemoteStoreBackend(f"127.0.0.1:{port}")
+    stats = probe.ping()
+    probe.shutdown()
+    return stats
+
+
+def cache_rows(workers: int = 3, names: Optional[List[str]] = None,
+               programs_dir: Optional[pathlib.Path] = None,
+               fault_names: Optional[List[str]] = None) -> List[dict]:
     """Run the shared-cache fleet scenario end to end.
 
     Phase 1: start a cache server over a throwaway store, run one cold
     worker subprocess (populates the server), then ``workers - 1`` warm
     worker subprocesses concurrently — every one a fresh process whose only
-    connection to the others is ``remote://`` pointing at the server.
+    connection to the others is ``remote://`` pointing at the server.  The
+    contract (:data:`ALL` row): every worker's verdict is byte-identical to
+    an in-process sequential replay, the warm workers issue zero queries
+    and SAT searches (``warm_zero``), and the fleet's SAT total equals the
+    one cold worker's (``sat_budget_ok``).
 
-    Phase 2 (fault injection): a fresh server configured to drop every 3rd,
-    delay every 4th and corrupt every 5th data response serves two workers
-    over a fast benchmark subset; their verdicts must still match the
-    sequential reference, with the degradation visible in the counters.
+    Phase 2 (fault injection, ``fault.*``): a fresh server configured to
+    drop every 3rd, delay every 4th and corrupt every 5th data response
+    serves two workers over a fast benchmark subset; their verdicts must
+    still match the sequential reference, with the degradation counted.
     """
     import shutil
     import tempfile
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.store.remote import RemoteStoreBackend
     from repro.store.server import FaultPlan, StoreServerThread
 
     names = list(names or BENCHMARKS)
-    unknown = [n for n in names if n not in BENCHMARKS]
-    if unknown:
-        raise ValueError(f"unknown benchmark(s): {', '.join(unknown)}")
     paths = _bench_paths(names, programs_dir)
-    reference = _sequential_verdicts(paths)
-    result = CacheFleetResult(workers=workers, names=names)
+    reference = verdict(Session(CheckConfig()).check_files(paths))
+    fleet: Dict[str, dict] = {}
 
     root = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
         with StoreServerThread(root=root) as server:
             url = f"remote://127.0.0.1:{server.port}"
-            result.rows.append(
-                _run_cache_worker("cold", paths, url, reference))
-            warm_count = max(0, workers - 1)
-            with ThreadPoolExecutor(max_workers=max(1, warm_count)) as pool:
-                futures = [
-                    pool.submit(_run_cache_worker, f"warm-{i + 1}", paths,
-                                url, reference)
-                    for i in range(warm_count)]
-                result.rows.extend(f.result() for f in futures)
-            probe = RemoteStoreBackend(f"127.0.0.1:{server.port}")
-            result.server = probe.ping()
-            probe.shutdown()
+            fleet["cold"] = _run_cache_worker("cold", paths, url, reference)
+            warm_roles = [f"warm-{i + 1}" for i in range(max(0, workers - 1))]
+            with ThreadPoolExecutor(max_workers=max(1, len(warm_roles))) \
+                    as pool:
+                futures = {role: pool.submit(_run_cache_worker, role, paths,
+                                             url, reference)
+                           for role in warm_roles}
+                fleet.update((role, f.result()) for role, f in futures.items())
+            served = _server_stats(server.port)
 
         fault_names = [n for n in (fault_names or FAULT_BENCHMARKS)
                        if n in names] or names[:1]
         fault_paths = _bench_paths(fault_names, programs_dir)
-        fault_reference = _sequential_verdicts(fault_paths)
+        fault_reference = verdict(Session(CheckConfig()).check_files(
+            fault_paths))
         plan = FaultPlan(drop_every=3, delay_every=4, corrupt_every=5,
                          delay_seconds=0.02)
         fault_root = tempfile.mkdtemp(prefix="repro-bench-cache-fault-")
@@ -1321,106 +898,47 @@ def cache_fleet(workers: int = 3, names: Optional[List[str]] = None,
             with StoreServerThread(root=fault_root, faults=plan) as server:
                 url = (f"remote://127.0.0.1:{server.port}"
                        "?retries=1&timeout=10")
-                fault_rows = [
-                    _run_cache_worker("fault-cold", fault_paths, url,
-                                      fault_reference),
-                    _run_cache_worker("fault-warm", fault_paths, url,
-                                      fault_reference),
-                ]
-                probe = RemoteStoreBackend(f"127.0.0.1:{server.port}")
-                fault_server = probe.ping()
-                probe.shutdown()
+                faulted = {role: _run_cache_worker(role, fault_paths, url,
+                                                   fault_reference)
+                           for role in ("fault-cold", "fault-warm")}
+                injected = _server_stats(server.port).get("faults") or {}
         finally:
             shutil.rmtree(fault_root, ignore_errors=True)
-        degraded = 0
-        for row in fault_rows:
-            backend = row.store.get("backend", {})
-            degraded += int(backend.get("remote_errors", 0))
-            degraded += int(backend.get("degraded_gets", 0))
-            degraded += int(backend.get("degraded_puts", 0))
-        injected = fault_server.get("faults") or {}
-        result.fault = {
-            "benchmarks": fault_names,
-            "plan": {"drop_every": plan.drop_every,
-                     "delay_every": plan.delay_every,
-                     "corrupt_every": plan.corrupt_every},
-            "workers": [row.to_dict() for row in fault_rows],
-            "identical": all(r.identical and not r.error
-                             for r in fault_rows),
-            "safe": all(r.safe for r in fault_rows),
-            "degraded_ops": degraded,
-            "injected_ops": (int(injected.get("dropped", 0))
-                             + int(injected.get("delayed", 0))
-                             + int(injected.get("corrupted", 0))),
-            "server_faults": injected,
-        }
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    return result
 
-
-#: Schema identifier stamped into shared-cache fleet reports.
-CACHE_REPORT_SCHEMA = "repro-bench-cache/1"
-
-
-def cache_report(fleet: CacheFleetResult) -> dict:
-    """The machine-readable report dumped as ``BENCH_cache.json``."""
-    cold = fleet.cold_row
-    return {
-        "schema": CACHE_REPORT_SCHEMA,
-        "workers": fleet.workers,
-        "benchmarks": fleet.names,
-        "rows": [row.to_dict() for row in fleet.rows],
+    degraded = sum(int(worker["store"].get("backend", {}).get(counter, 0))
+                   for worker in faulted.values()
+                   for counter in ("remote_errors", "degraded_gets",
+                                   "degraded_puts"))
+    warm = [worker for role, worker in fleet.items() if role != "cold"]
+    rows: List[dict] = []
+    for role, worker in {**fleet, **faulted}.items():
+        rows += metric_rows("cache", role, worker)
+    return rows + metric_rows("cache", ALL, {
+        "workers": workers,
+        "identical": all(worker["identical"] for worker in fleet.values()),
+        "safe": all(worker["safe"] for worker in fleet.values()),
+        "warm_zero": bool(warm) and all(
+            w["queries"] == 0 and w["sat_calls"] == 0 for w in warm),
+        "sat_budget_ok": (sum(w["sat_calls"] for w in fleet.values())
+                          == fleet["cold"]["sat_calls"]),
         "totals": {
-            "cold_queries": cold.queries if cold else 0,
-            "cold_sat_calls": cold.sat_calls if cold else 0,
-            "fleet_sat_calls": fleet.fleet_sat_calls,
-            "warm_queries": sum(r.queries for r in fleet.rows
-                                if r.role != "cold"),
-            "warm_sat_calls": sum(r.sat_calls for r in fleet.rows
-                                  if r.role != "cold"),
+            "cold_queries": fleet["cold"]["queries"],
+            "cold_sat_calls": fleet["cold"]["sat_calls"],
+            "fleet_sat_calls": sum(w["sat_calls"] for w in fleet.values()),
+            "warm_queries": sum(w["queries"] for w in warm),
+            "warm_sat_calls": sum(w["sat_calls"] for w in warm),
         },
-        "identical": fleet.identical,
-        "warm_zero": fleet.warm_zero,
-        "sat_budget_ok": fleet.sat_budget_ok,
-        "safe": fleet.safe,
-        "server": {"requests_served":
-                   fleet.server.get("requests_served", 0)},
-        "fault": fleet.fault,
-        "ok": fleet.ok,
-    }
-
-
-def format_cache(fleet: CacheFleetResult) -> str:
-    """The table printed by ``repro bench cache``."""
-    lines = [
-        f"Shared cache fleet: {fleet.workers} fresh worker processes over "
-        f"one cache server ({len(fleet.names)} benchmarks)",
-        "Worker      Queries  SAT-calls  Time(s)  Same  Safe",
-        "-" * 56,
-    ]
-    for row in fleet.rows:
-        lines.append(
-            f"{row.role:11s} {row.queries:7d} {row.sat_calls:10d} "
-            f"{row.time_seconds:8.2f} "
-            f"{'yes' if row.identical else 'NO':>5s} "
-            f"{'yes' if row.safe else 'NO':>5s}"
-            + (f"  [{row.error}]" if row.error else ""))
-    lines.append("-" * 56)
-    cold = fleet.cold_row
-    lines.append(
-        f"fleet SAT total {fleet.fleet_sat_calls} vs cold worker "
-        f"{cold.sat_calls if cold else 0} "
-        f"({'within' if fleet.sat_budget_ok else 'OVER'} budget); "
-        f"warm workers zero-query: {'yes' if fleet.warm_zero else 'NO'}")
-    if fleet.fault is not None:
-        fault = fleet.fault
-        lines.append(
-            f"fault injection over {', '.join(fault['benchmarks'])}: "
-            f"verdicts identical: {'yes' if fault['identical'] else 'NO'}; "
-            f"degraded ops counted: {fault['degraded_ops']} "
-            f"(server injected: {fault['server_faults']})")
-    return "\n".join(lines)
+        "requests_served": served.get("requests_served", 0),
+        "fault": {
+            "identical": all(w["identical"] for w in faulted.values()),
+            "safe": all(w["safe"] for w in faulted.values()),
+            "degraded_ops": degraded,
+            "injected_ops": sum(int(injected.get(kind, 0)) for kind in
+                                ("dropped", "delayed", "corrupted")),
+        },
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -1433,39 +951,6 @@ OBS_BENCHMARKS = ["tsc-checker", "navier-stokes"]
 
 #: No-op span calls timed by the disabled-path microbenchmark.
 OBS_NOOP_CALLS = 200_000
-
-#: Schema identifier stamped into tracing-overhead reports.
-OBS_REPORT_SCHEMA = "repro-bench-obs/1"
-
-
-@dataclass
-class ObsRow:
-    """One benchmark checked twice: tracer disabled, then enabled."""
-
-    name: str
-    off_seconds: float = 0.0
-    on_seconds: float = 0.0
-    events: int = 0
-    safe: bool = False
-    identical: bool = False
-
-    @property
-    def on_overhead_pct(self) -> float:
-        """Measured enabled-tracer overhead (noisy; reported, not gated)."""
-        if self.off_seconds <= 0.0:
-            return 0.0
-        return (self.on_seconds - self.off_seconds) / self.off_seconds * 100.0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "off_seconds": self.off_seconds,
-            "on_seconds": self.on_seconds,
-            "events": self.events,
-            "on_overhead_pct": self.on_overhead_pct,
-            "safe": self.safe,
-            "identical": self.identical,
-        }
 
 
 def noop_span_cost(calls: int = OBS_NOOP_CALLS) -> dict:
@@ -1490,336 +975,233 @@ def noop_span_cost(calls: int = OBS_NOOP_CALLS) -> dict:
             "per_call_ns": elapsed / calls * 1e9}
 
 
+def _overhead_pct(on_seconds: float, off_seconds: float) -> float:
+    if off_seconds <= 0.0:
+        return 0.0
+    return (on_seconds - off_seconds) / off_seconds * 100.0
+
+
+def overhead_rows(measured: Dict[str, dict], noop: dict) -> List[dict]:
+    """Bench rows of a tracing-overhead run.
+
+    ``measured`` maps each benchmark to its ``off_seconds``,
+    ``on_seconds``, ``events``, ``safe`` and ``identical``.  The gated
+    number is the :data:`ALL` row's ``totals.off_overhead_pct``: the no-op
+    span cost times the span count of the traced runs, as a fraction of the
+    untraced wall-clock — what tracing costs every user who never turns it
+    on.  ``on_overhead_pct`` (measured, noisy) is reported, not gated."""
+    rows: List[dict] = []
+    for name, metrics in measured.items():
+        rows += metric_rows("obs", name, {
+            **metrics, "on_overhead_pct": _overhead_pct(
+                metrics["on_seconds"], metrics["off_seconds"])})
+    off_total = sum(m["off_seconds"] for m in measured.values())
+    on_total = sum(m["on_seconds"] for m in measured.values())
+    events = sum(m["events"] for m in measured.values())
+    return rows + metric_rows("obs", ALL, {
+        "noop": noop,
+        "totals": {
+            "off_seconds": off_total,
+            "on_seconds": on_total,
+            "events": events,
+            "off_overhead_pct": (events * noop["per_call_ns"] / 1e9
+                                 / off_total * 100.0
+                                 if off_total > 0.0 else 0.0),
+            "on_overhead_pct": _overhead_pct(on_total, off_total),
+        },
+        "safe": all(m["safe"] for m in measured.values()),
+        "identical": all(m["identical"] for m in measured.values()),
+    })
+
+
 def obs_rows(names: Optional[List[str]] = None,
-             programs_dir: Optional[pathlib.Path] = None) -> List[ObsRow]:
+             programs_dir: Optional[pathlib.Path] = None) -> List[dict]:
     """Check each benchmark twice — tracer off, then on — in fresh
     sessions, asserting byte-identical verdicts."""
     import time as _time
 
     from repro.obs.trace import tracer
-    rows: List[ObsRow] = []
+    measured: Dict[str, dict] = {}
     t = tracer()
     for name in (names or OBS_BENCHMARKS):
         source = source_of(name, programs_dir)
         filename = f"{name}.rsc"
         t.reset()
         start = _time.perf_counter()
-        off_result = Session(CheckConfig()).check_source(source,
-                                                         filename=filename)
+        off = Session(CheckConfig()).check_source(source, filename=filename)
         off_seconds = _time.perf_counter() - start
         t.enable()
         start = _time.perf_counter()
-        on_result = Session(CheckConfig()).check_source(source,
-                                                        filename=filename)
+        on = Session(CheckConfig()).check_source(source, filename=filename)
         on_seconds = _time.perf_counter() - start
         events = len(t.drain()["events"])
         t.reset()
-        rows.append(ObsRow(
-            name=name, off_seconds=off_seconds, on_seconds=on_seconds,
-            events=events, safe=off_result.ok and on_result.ok,
-            identical=(_comparable_verdict(off_result)
-                       == _comparable_verdict(on_result))))
-    return rows
-
-
-def obs_report(rows: List[ObsRow]) -> dict:
-    """The machine-readable report dumped as ``BENCH_obs.json``.
-
-    ``totals.off_overhead_pct`` is the gated number: the no-op span cost
-    times the span count of a traced run, as a fraction of the untraced
-    wall-clock — what tracing costs every user who never turns it on."""
-    noop = noop_span_cost()
-    off_total = sum(row.off_seconds for row in rows)
-    on_total = sum(row.on_seconds for row in rows)
-    events_total = sum(row.events for row in rows)
-    off_overhead_pct = 0.0
-    if off_total > 0.0:
-        off_overhead_pct = (events_total * noop["per_call_ns"] / 1e9
-                            / off_total * 100.0)
-    return {
-        "schema": OBS_REPORT_SCHEMA,
-        "noop": noop,
-        "rows": [row.to_dict() for row in rows],
-        "totals": {
-            "off_seconds": off_total,
-            "on_seconds": on_total,
-            "events": events_total,
-            "off_overhead_pct": off_overhead_pct,
-            "on_overhead_pct": ((on_total - off_total) / off_total * 100.0
-                                if off_total > 0.0 else 0.0),
-        },
-        "safe": all(row.safe for row in rows),
-        "identical": all(row.identical for row in rows),
-    }
-
-
-def format_obs(rows: List[ObsRow]) -> str:
-    """The table printed by ``repro bench obs``."""
-    report = obs_report(rows)
-    noop = report["noop"]
-    lines = [
-        "Tracing overhead: each benchmark checked with the tracer "
-        "disabled, then enabled",
-        "Benchmark        Off(s)    On(s)   Spans  On-ovh%  Same  Safe",
-        "-" * 62,
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.name:15s} {row.off_seconds:7.2f} {row.on_seconds:8.2f} "
-            f"{row.events:7d} {row.on_overhead_pct:8.1f} "
-            f"{'yes' if row.identical else 'NO':>5s} "
-            f"{'yes' if row.safe else 'NO':>5s}")
-    lines.append("-" * 62)
-    lines.append(
-        f"no-op span: {noop['per_call_ns']:.0f} ns/call over "
-        f"{noop['calls']} calls; disabled-tracer overhead "
-        f"{report['totals']['off_overhead_pct']:.3f}% of untraced "
-        f"wall-clock (CI gates < 2%)")
-    return "\n".join(lines)
-
-
-def format_figure7(names: Optional[List[str]] = None,
-                   programs_dir: Optional[pathlib.Path] = None) -> str:
-    lines = ["Benchmark        LOC  ImpDiff  AllDiff",
-             "-" * 40]
-    for name in (names or BENCHMARKS):
-        loc = count_loc(source_of(name, programs_dir))
-        imp, all_diff = CODE_CHANGES[name]
-        lines.append(f"{name:15s} {loc:4d} {imp:8d} {all_diff:8d}")
-    return "\n".join(lines)
+        measured[name] = {"off_seconds": off_seconds,
+                          "on_seconds": on_seconds, "events": events,
+                          "safe": off.ok and on.ok,
+                          "identical": verdict(off) == verdict(on)}
+    return overhead_rows(measured, noop_span_cost())
 
 
 # ---------------------------------------------------------------------------
 # raw-speed benchmarks (`repro bench speed`)
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class SpeedRow:
-    """Memoisation-off vs memoisation-on numbers for one benchmark.
-
-    The *baseline* phase checks in the previous engine's configuration:
-    :func:`repro.logic.terms.set_memoisation` disabled — every traversal
-    (``simplify``, ``free_vars``, ``substitute``, CNF conversion, theory
-    verdicts) recomputes from scratch — and
-    :func:`repro.smt.lia.set_exact_ints` disabled, running Fourier–Motzkin
-    elimination on the historical ``fractions.Fraction`` arithmetic.  The
-    *speed* phase re-checks the same source with memoisation on (cold memo
-    tables) and integer LIA arithmetic; the reference configuration doubles
-    as a differential oracle, since both phases must produce byte-identical
-    diagnostics and kappa solutions.
-
-    ``baseline_allocations`` counts term-constructor invocations during the
-    baseline phase — exactly the number of fresh objects the pre-hash-cons
-    engine allocated, since back then every construction allocated.
-    ``speed_allocations`` counts the term objects actually created (intern
-    misses) during the speed phase; the acceptance gate requires it to be
-    strictly smaller.
-
-    ``kind`` is ``"file"`` (single-file port, fresh :class:`Session` per
-    phase) or ``"project"`` (module split through a fresh
-    :class:`repro.project.ProjectWorkspace` per phase).  File rows also
-    re-check under every worker count in the jobs sweep and assert the
-    rank-parallel fixpoint's verdict is byte-identical (``jobs_identical``).
-    """
-
-    name: str
-    kind: str
-    baseline_time_seconds: float
-    speed_time_seconds: float
-    baseline_allocations: int
-    speed_allocations: int
-    intern_hit_rate: float
-    queries: int
-    identical: bool
-    jobs_identical: bool
-    safe: bool
-
-    @property
-    def speedup(self) -> float:
-        if self.speed_time_seconds <= 0:
-            return 0.0
-        return self.baseline_time_seconds / self.speed_time_seconds
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "baseline": {
-                "time_seconds": self.baseline_time_seconds,
-                "allocations": self.baseline_allocations,
-            },
-            "speed": {
-                "time_seconds": self.speed_time_seconds,
-                "allocations": self.speed_allocations,
-                "intern_hit_rate": self.intern_hit_rate,
-            },
-            "speedup": self.speedup,
-            "queries": self.queries,
-            "identical": self.identical,
-            "jobs_identical": self.jobs_identical,
-            "safe": self.safe,
-        }
-
-
-def _project_verdict(project) -> list:
-    """Byte-level comparable verdict of a whole project build."""
-    return sorted((result.filename, _comparable_verdict(result))
-                  for result in project.results)
-
-
 #: Worker counts the speed bench sweeps for the rank-parallel fixpoint
-#: identity check (jobs=1 is the speed phase itself).
+#: identity check (jobs=1 is the fast phase itself).
 SPEED_JOBS_SWEEP = (2, 3, 4)
+
+
+def _engine_phase(fast: bool, check):
+    """Run ``check()`` under the fast or the reference engine
+    configuration; returns its result and the phase's interning counters
+    (``constructions``: term-constructor calls, ``misses``: term objects
+    actually created)."""
+    from repro.logic.terms import (intern_stats, reset_intern_stats,
+                                   set_memoisation)
+    from repro.smt.lia import set_exact_ints
+    set_memoisation(fast)   # also clears the memo tables
+    set_exact_ints(fast)
+    reset_intern_stats()
+    result = check()
+    stats = intern_stats()
+    return result, {"time_seconds": result.time_seconds,
+                    "constructions": stats["constructions"],
+                    "misses": stats["misses"],
+                    "hit_rate": stats["hit_rate"]}
 
 
 def speed_rows(names: Optional[List[str]] = None,
                programs_dir: Optional[pathlib.Path] = None,
                modules_dir: Optional[pathlib.Path] = None,
-               jobs_sweep: tuple = SPEED_JOBS_SWEEP) -> List[SpeedRow]:
+               jobs_sweep: tuple = SPEED_JOBS_SWEEP) -> List[dict]:
     """Check every port twice — reference configuration, then fast — and
     compare.
 
-    Phase order matters for the allocation counters: the baseline phase
-    counts constructor *invocations* (what the engine allocated before
-    hash-consing existed — memoisation off makes every traversal recompute
-    exactly as the old code did), while the speed phase counts intern
-    *misses* (objects actually created).  Verdicts must be byte-identical
-    between the phases, and — for the single-file ports — across every
-    worker count in ``jobs_sweep``.  Both module-split projects run the same
-    two phases through fresh project workspaces.
+    The ``reference`` phase runs the engine before the speed layer:
+    :func:`repro.logic.terms.set_memoisation` off, so every traversal
+    (``simplify``, ``free_vars``, ``substitute``, CNF conversion, theory
+    verdicts) recomputes from scratch, and
+    :func:`repro.smt.lia.set_exact_ints` off, so Fourier–Motzkin runs on
+    ``fractions.Fraction``.  The ``fast`` phase re-checks with cold memo
+    tables and integer LIA.  Both phases must produce byte-identical
+    verdicts (``identical``), and — for the single-file ports — so must
+    every worker count in ``jobs_sweep`` (``jobs_identical``).  The module
+    splits of the selected ports (benchmark ``<name> (project)``) run the
+    same two phases through fresh project workspaces.
 
-    The fast configuration is always restored on exit, even if a check
-    raises.
+    Each phase reports ``constructions`` and ``misses``.  The reference
+    phase interns every term first, so the fast phase mostly hits the
+    table; the gates are therefore reference ``misses < constructions``
+    (hash-consing dedups) and fast ``constructions`` < reference
+    ``constructions`` (memoised traversals construct less).  The fast
+    configuration is always restored on exit, even if a check raises.
     """
-    from repro.logic.terms import (
-        intern_stats,
-        reset_intern_stats,
-        set_memoisation,
-    )
+    from repro.logic.terms import set_memoisation
     from repro.project.workspace import ProjectWorkspace
     from repro.smt.lia import set_exact_ints
 
-    rows: List[SpeedRow] = []
+    names = names or BENCHMARKS
+    runs = [(name, lambda name=name, jobs=1: Session(
+                CheckConfig(jobs=jobs)).check_source(
+                    source_of(name, programs_dir), filename=f"{name}.rsc"),
+             jobs_sweep)
+            for name in names]
+    runs += [(f"{name} (project)", lambda name=name: ProjectWorkspace(
+                 root=_project_root(name, modules_dir)).check(), ())
+             for name in MODULE_BENCHMARKS if name in names]
+    rows: List[dict] = []
     try:
-        for name in (names or BENCHMARKS):
-            source = source_of(name, programs_dir)
-            filename = f"{name}.rsc"
-            set_memoisation(False)
-            set_exact_ints(False)
-            reset_intern_stats()
-            baseline = Session(CheckConfig()).check_source(
-                source, filename=filename)
-            base_stats = intern_stats()
-            set_memoisation(True)   # also clears the memo tables
-            set_exact_ints(True)
-            reset_intern_stats()
-            speed = Session(CheckConfig()).check_source(
-                source, filename=filename)
-            fast_stats = intern_stats()
-            verdict = _comparable_verdict(speed)
-            jobs_identical = True
-            for jobs in jobs_sweep:
-                parallel = Session(CheckConfig(jobs=jobs)).check_source(
-                    source, filename=filename)
-                jobs_identical = (jobs_identical and parallel.ok == speed.ok
-                                  and _comparable_verdict(parallel) == verdict)
-            rows.append(SpeedRow(
-                name=name, kind="file",
-                baseline_time_seconds=baseline.time_seconds,
-                speed_time_seconds=speed.time_seconds,
-                baseline_allocations=base_stats["constructions"],
-                speed_allocations=fast_stats["misses"],
-                intern_hit_rate=fast_stats["hit_rate"],
-                queries=speed.stats.queries if speed.stats else 0,
-                identical=_comparable_verdict(baseline) == verdict,
-                jobs_identical=jobs_identical,
-                safe=baseline.ok and speed.ok))
-
-        directory = modules_dir or default_modules_dir()
-        wanted = [n for n in MODULE_BENCHMARKS
-                  if names is None or n in names]
-        for name in wanted:
-            root = directory / name
-            if not root.is_dir():
-                raise FileNotFoundError(f"no module benchmark at {root}")
-            set_memoisation(False)
-            set_exact_ints(False)
-            reset_intern_stats()
-            baseline_build = ProjectWorkspace(root=root).check()
-            base_stats = intern_stats()
-            set_memoisation(True)
-            set_exact_ints(True)
-            reset_intern_stats()
-            speed_build = ProjectWorkspace(root=root).check()
-            fast_stats = intern_stats()
-            rows.append(SpeedRow(
-                name=f"{name} (project)", kind="project",
-                baseline_time_seconds=baseline_build.time_seconds,
-                speed_time_seconds=speed_build.time_seconds,
-                baseline_allocations=base_stats["constructions"],
-                speed_allocations=fast_stats["misses"],
-                intern_hit_rate=fast_stats["hit_rate"],
-                queries=speed_build.stats.queries,
-                identical=(_project_verdict(baseline_build)
-                           == _project_verdict(speed_build)),
-                jobs_identical=True,
-                safe=baseline_build.ok and speed_build.ok))
+        for name, check, sweep in runs:
+            reference, reference_stats = _engine_phase(False, check)
+            fast, fast_stats = _engine_phase(True, check)
+            expected = verdict(fast)
+            metrics = {
+                "reference": reference_stats,
+                "fast": fast_stats,
+                "speedup": (reference.time_seconds / fast.time_seconds
+                            if fast.time_seconds > 0 else 0.0),
+                "queries": _stat(fast, "queries"),
+                "identical": verdict(reference) == expected,
+                "safe": reference.ok and fast.ok,
+            }
+            if sweep:
+                metrics["jobs_identical"] = all(
+                    parallel.ok == fast.ok and verdict(parallel) == expected
+                    for parallel in (check(jobs=jobs) for jobs in sweep))
+            rows += metric_rows("speed", name, metrics)
     finally:
         set_memoisation(True)
         set_exact_ints(True)
-    return rows
+    table = pivot(rows)
+    reference_time = sum(m["reference.time_seconds"] for m in table.values())
+    fast_time = sum(m["fast.time_seconds"] for m in table.values())
+    return rows + metric_rows("speed", ALL, {"totals": {
+        "reference_time_seconds": reference_time,
+        "fast_time_seconds": fast_time,
+        "speedup": reference_time / fast_time if fast_time else 0.0,
+    }})
 
 
-#: Schema identifier stamped into raw-speed reports.
-SPEED_REPORT_SCHEMA = "repro-bench-speed/1"
+# ---------------------------------------------------------------------------
+# the suite table `repro bench` dispatches on
+# ---------------------------------------------------------------------------
 
 
-def speed_report(rows: List[SpeedRow]) -> dict:
-    """The machine-readable report dumped as ``BENCH_speed.json``."""
-    baseline_time = sum(r.baseline_time_seconds for r in rows)
-    speed_time = sum(r.speed_time_seconds for r in rows)
-    return {
-        "schema": SPEED_REPORT_SCHEMA,
-        "benchmarks": {row.name: row.to_dict() for row in rows},
-        "totals": {
-            "baseline_time_seconds": baseline_time,
-            "speed_time_seconds": speed_time,
-            "speedup": baseline_time / speed_time if speed_time else 0.0,
-            "baseline_allocations": sum(r.baseline_allocations for r in rows),
-            "speed_allocations": sum(r.speed_allocations for r in rows),
-            "fewer_allocations": all(
-                r.speed_allocations < r.baseline_allocations for r in rows),
-            "identical": all(r.identical for r in rows),
-            "jobs_identical": all(r.jobs_identical for r in rows),
-            "safe": all(r.safe for r in rows),
-        },
-    }
+@dataclass(frozen=True)
+class Suite:
+    """One ``repro bench`` suite: the benchmarks a full run covers and the
+    text table it prints."""
+
+    benchmarks: Sequence[str]
+    title: str
+    columns: Sequence[str] = ()
 
 
-def format_speed(rows: List[SpeedRow]) -> str:
-    """The table printed by ``repro bench speed``."""
-    lines = [
+SUITES: Dict[str, Suite] = {
+    "figure6": Suite(BENCHMARKS, "Figure 6: annotations and check time"),
+    "incremental": Suite(
+        BENCHMARKS,
+        "Incremental re-check: cold open vs scripted edits "
+        "(comment-only / one body / revert)",
+        ("cold.queries", "comment.queries", "body.queries", "revert.queries",
+         "body.declarations_rechecked", "body.declarations_reused",
+         "body.warm", "cold.time_seconds", "body.time_seconds", "safe")),
+    "modules": Suite(
+        MODULE_BENCHMARKS,
+        "Module-graph re-check: cold build vs body-only and signature edits",
+        ("modules", "batches", "cold.queries", "body.rechecked",
+         "body.queries", "body.warm", "sig.rechecked", "sig.queries",
+         "safe")),
+    "store": Suite(
+        BENCHMARKS,
+        "Persistent store: cold process vs store-warm fresh process",
+        ("cold.queries", "cold.sat_calls", "warm.queries", "warm.sat_calls",
+         "identical", "cold.time_seconds", "warm.time_seconds")),
+    "serve": Suite(
+        SERVE_BENCHMARKS,
+        "Check service: concurrent editing clients (supersede pair per "
+        "client) vs sequential replay",
+        ("requests", "checks_ok", "cancelled", "p50_ms", "p99_ms",
+         "identical", "safe", "error")),
+    "cache": Suite(
+        BENCHMARKS,
+        "Shared cache fleet: fresh worker processes over one cache server, "
+        "then under fault injection",
+        ("queries", "sat_calls", "time_seconds", "identical", "safe",
+         "error")),
+    "obs": Suite(
+        OBS_BENCHMARKS,
+        "Tracing overhead: each benchmark checked with the tracer "
+        "disabled, then enabled",
+        ("off_seconds", "on_seconds", "events", "on_overhead_pct",
+         "identical", "safe")),
+    "speed": Suite(
+        BENCHMARKS,
         "Raw speed: reference engine (no memos, Fraction LIA) vs fast "
         "(memoised, integer LIA)",
-        "Benchmark            Base(s)  Fast(s)  Speedup     Alloc(base)  "
-        "Alloc(fast)  Hit%  Same  Jobs",
-        "-" * 95,
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.name:20s} {row.baseline_time_seconds:7.2f} "
-            f"{row.speed_time_seconds:8.2f} {row.speedup:7.2f}x "
-            f"{row.baseline_allocations:14d} {row.speed_allocations:12d} "
-            f"{100 * row.intern_hit_rate:5.1f} "
-            f"{'yes' if row.identical else 'NO':>5s} "
-            f"{'yes' if row.jobs_identical else 'NO':>5s}")
-    lines.append("-" * 95)
-    report = speed_report(rows)
-    totals = report["totals"]
-    lines.append(
-        f"{'TOTAL':20s} {totals['baseline_time_seconds']:7.2f} "
-        f"{totals['speed_time_seconds']:8.2f} {totals['speedup']:7.2f}x "
-        f"{totals['baseline_allocations']:14d} "
-        f"{totals['speed_allocations']:12d}")
-    return "\n".join(lines)
+        ("reference.time_seconds", "fast.time_seconds", "speedup",
+         "reference.constructions", "reference.misses",
+         "fast.constructions", "fast.misses", "identical",
+         "jobs_identical")),
+}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.trace import TRACE_SCHEMA, SlowQueryLog, trace_document
 
@@ -66,14 +66,14 @@ def validate_trace(document: dict) -> List[str]:
     return problems
 
 
-def check_nesting(document: dict) -> List[str]:
-    """Spans that overlap without nesting within one ``(pid, tid)`` track.
+def _span_parents(document: dict) -> Iterator[Tuple[tuple, dict,
+                                                   Optional[dict]]]:
+    """Every well-formed span with its track and its innermost enclosing
+    span (``None`` for a root), one ``(pid, tid)`` track at a time.
 
-    Chrome/Perfetto reconstruct the span tree from interval containment;
-    two spans on one track that partially overlap cannot be rendered as a
-    tree, so any such pair is a bug in the instrumentation (or a merge of
-    mis-aligned clocks)."""
-    problems: List[str] = []
+    Chrome/Perfetto reconstruct the span tree from interval containment,
+    and so does this walk: spans sorted by start (longest first on ties)
+    and a stack of the spans still open."""
     tracks: Dict[tuple, List[dict]] = {}
     for event in document.get("traceEvents", []):
         # Malformed events (no ts/dur) are validate_trace's problem, not
@@ -89,15 +89,21 @@ def check_nesting(document: dict) -> List[str]:
         for event in events:
             while stack and event["ts"] >= stack[-1]["ts"] + stack[-1]["dur"]:
                 stack.pop()
-            if stack:
-                parent = stack[-1]
-                if event["ts"] + event["dur"] > parent["ts"] + parent["dur"]:
-                    problems.append(
-                        f"pid={key[0]} tid={key[1]}: span "
-                        f"{event['name']!r} at ts={event['ts']} overlaps "
-                        f"{parent['name']!r} without nesting")
+            yield key, event, (stack[-1] if stack else None)
             stack.append(event)
-    return problems
+
+
+def check_nesting(document: dict) -> List[str]:
+    """Spans that overlap without nesting within one ``(pid, tid)`` track.
+
+    Two spans on one track that partially overlap cannot be rendered as a
+    tree, so any such pair is a bug in the instrumentation (or a merge of
+    mis-aligned clocks)."""
+    return [f"pid={key[0]} tid={key[1]}: span {event['name']!r} at "
+            f"ts={event['ts']} overlaps {parent['name']!r} without nesting"
+            for key, event, parent in _span_parents(document)
+            if parent is not None
+            and event["ts"] + event["dur"] > parent["ts"] + parent["dur"]]
 
 
 def merge_traces(documents: List[dict]) -> dict:
@@ -121,10 +127,13 @@ def merge_traces(documents: List[dict]) -> dict:
                           slow_queries=slow.snapshot())
 
 
-def _bucket(table: Dict[str, dict], key: str, dur_us: int) -> None:
-    row = table.setdefault(key, {"spans": 0, "seconds": 0.0})
+def _bucket(table: Dict[str, dict], key: str, dur_us: int,
+            self_us: int) -> None:
+    row = table.setdefault(key, {"spans": 0, "seconds": 0.0,
+                                 "self_seconds": 0.0})
     row["spans"] += 1
     row["seconds"] += dur_us / 1e6
+    row["self_seconds"] += self_us / 1e6
 
 
 def summarize(document: dict) -> dict:
@@ -136,10 +145,17 @@ def summarize(document: dict) -> dict:
     * ``tenants`` — per service tenant (``service.*`` spans' ``tenant``),
     * ``slow_queries`` — the exported top-N slow-implication log.
 
-    Seconds are summed span durations, so nested spans count toward both
-    their own bucket and their ancestors' — the tables answer "where does
-    time go inside each layer", not "what fraction of one wall-clock".
+    ``seconds`` sums inclusive span durations, so nested spans count
+    toward both their own bucket and their ancestors'.  ``self_seconds``
+    sums each span's duration minus its direct children's, so the
+    subsystems' self-times add up to the root spans' total — the share of
+    one wall-clock each layer spent itself.
     """
+    self_us: Dict[int, int] = {}
+    for _, event, parent in _span_parents(document):
+        self_us[id(event)] = event["dur"]
+        if parent is not None:
+            self_us[id(parent)] -= event["dur"]
     subsystems: Dict[str, dict] = {}
     stages: Dict[str, dict] = {}
     modules: Dict[str, dict] = {}
@@ -147,21 +163,23 @@ def summarize(document: dict) -> dict:
     pids = set()
     for event in document.get("traceEvents", []):
         dur = int(event.get("dur", 0))
+        own = self_us.get(id(event), dur)
         args = event.get("args") or {}
         pids.add(event.get("pid"))
-        _bucket(subsystems, str(event.get("cat", "?")), dur)
+        _bucket(subsystems, str(event.get("cat", "?")), dur, own)
         name = str(event.get("name", ""))
         if name.startswith(_STAGE_PREFIX):
-            _bucket(stages, name[len(_STAGE_PREFIX):], dur)
+            _bucket(stages, name[len(_STAGE_PREFIX):], dur, own)
             module = args.get("module")
             if module:
-                _bucket(modules, str(module), dur)
+                _bucket(modules, str(module), dur, own)
         elif name == "pipeline.check" and args.get("uri"):
             row = modules.setdefault(str(args["uri"]),
-                                     {"spans": 0, "seconds": 0.0})
+                                     {"spans": 0, "seconds": 0.0,
+                                      "self_seconds": 0.0})
             row["checks"] = row.get("checks", 0) + 1
         if event.get("cat") == "service" and args.get("tenant"):
-            _bucket(tenants, str(args["tenant"]), dur)
+            _bucket(tenants, str(args["tenant"]), dur, own)
     other = document.get("otherData") or {}
     return {
         "trace_id": other.get("trace_id"),
@@ -189,13 +207,16 @@ def format_summary(summary: dict) -> str:
              f"{summary['processes']} process(es)", ""]
     lines += _table(
         "Subsystems",
-        f"{'category':12s} {'spans':>8s} {'total(s)':>10s}",
-        [f"{name:12s} {row['spans']:8d} {row['seconds']:10.3f}"
+        f"{'category':12s} {'spans':>8s} {'total(s)':>10s} {'self(s)':>10s}",
+        [f"{name:12s} {row['spans']:8d} {row['seconds']:10.3f} "
+         f"{row['self_seconds']:10.3f}"
          for name, row in summary["subsystems"].items()])
     lines += _table(
         "Pipeline stages",
-        f"{'stage':12s} {'spans':>8s} {'total(s)':>10s} {'mean(ms)':>10s}",
+        f"{'stage':12s} {'spans':>8s} {'total(s)':>10s} {'self(s)':>10s} "
+        f"{'mean(ms)':>10s}",
         [f"{name:12s} {row['spans']:8d} {row['seconds']:10.3f} "
+         f"{row['self_seconds']:10.3f} "
          f"{1000.0 * row['seconds'] / row['spans']:10.2f}"
          for name, row in summary["stages"].items()])
     module_width = max([28] + [len(name) for name in summary["modules"]])

@@ -23,12 +23,14 @@ variables, exactly like the paper does (section 5.1 "Ghost Functions").
 Coefficients are exact: since division is opaque, every coefficient that
 :func:`linearize` produces is an integer, and Fourier–Motzkin combinations
 of integer constraints stay integer (cross-multiplication, no division).
-By default the solver therefore seeds plain Python ints, which makes the
-elimination loop an order of magnitude cheaper than the historical
-``fractions.Fraction`` arithmetic.  The Fraction-seeded path is kept,
-bit-for-bit, as the reference implementation: :func:`set_exact_ints`
+By default the solver therefore seeds plain Python ints instead of the
+historical ``fractions.Fraction`` arithmetic.  The Fraction-seeded path is
+kept, bit-for-bit, as the reference implementation: :func:`set_exact_ints`
 switches back to it, and ``repro bench speed`` runs both and asserts the
-verdicts are byte-identical.
+verdicts are byte-identical.  How much of a check this layer costs is not a
+fixed share: the repository benchmark measures it per run, as the
+``smt.lia.is_satisfiable_s`` and ``smt.lia.is_satisfiable_calls`` metrics
+of ``rscbench/run.py --trace 1``.
 """
 
 from __future__ import annotations

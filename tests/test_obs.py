@@ -378,6 +378,35 @@ def test_summarize_tables(tmp_path):
     assert "Subsystems" in rendered and "Pipeline stages" in rendered
 
 
+def test_summary_self_times_add_up_to_root_spans():
+    """Self-time (duration minus direct children) per category sums to the
+    root spans' total, where inclusive seconds count nested spans twice."""
+    root = pathlib.Path(__file__).parent.parent
+    source = (root / "benchmarks" / "programs" / "splay.rsc").read_text()
+    t = tracer()
+    t.enable()
+    Session(CheckConfig()).check_source(source, filename="splay.rsc")
+    document = trace_document(t.drain()["events"], trace_id=t.trace_id)
+    assert check_nesting(document) == []
+    events = document["traceEvents"]
+    roots_us = 0
+    for track in {(e["pid"], e["tid"]) for e in events}:
+        open_until = -1
+        for event in sorted((e for e in events
+                             if (e["pid"], e["tid"]) == track),
+                            key=lambda e: (e["ts"], -e["dur"])):
+            if event["ts"] >= open_until:
+                roots_us += event["dur"]
+                open_until = event["ts"] + event["dur"]
+    summary = summarize(document)
+    self_total = sum(row["self_seconds"]
+                     for row in summary["subsystems"].values())
+    inclusive = sum(row["seconds"] for row in summary["subsystems"].values())
+    assert self_total == pytest.approx(roots_us / 1e6, abs=len(events) * 1e-6)
+    assert inclusive > self_total
+    assert "self(s)" in format_summary(summary)
+
+
 def test_validate_trace_reports_problems():
     bad = {"traceEvents": [{"name": "x", "cat": "app", "ph": "B",
                             "ts": -1, "dur": 1, "pid": 1, "tid": 0}],
@@ -551,12 +580,15 @@ def test_noop_span_cost_shape():
 
 
 def test_obs_report_gate_fields():
-    from repro.bench import ObsRow, obs_report
-    rows = [ObsRow(name="x", off_seconds=1.0, on_seconds=1.1,
-                   events=100, safe=True, identical=True)]
-    report = obs_report(rows)
-    assert report["schema"] == "repro-bench-obs/1"
-    assert report["totals"]["events"] == 100
-    assert report["totals"]["off_overhead_pct"] < 2.0
-    assert report["safe"] and report["identical"]
-    assert rows[0].on_overhead_pct == pytest.approx(10.0)
+    from repro.bench import ALL, bench_report, overhead_rows, pivot
+    measured = {"x": {"off_seconds": 1.0, "on_seconds": 1.1, "events": 100,
+                      "safe": True, "identical": True}}
+    rows = overhead_rows(measured, {"calls": 10, "seconds": 1e-6,
+                                    "per_call_ns": 100.0})
+    assert bench_report("obs", rows)["schema"] == "repro-bench/2"
+    table = pivot(rows)
+    assert table[ALL]["totals.events"] == 100
+    # 100 spans x 100 ns over 1 s untraced = 0.001%
+    assert table[ALL]["totals.off_overhead_pct"] == pytest.approx(1e-3)
+    assert table[ALL]["safe"] == 1 and table[ALL]["identical"] == 1
+    assert table["x"]["on_overhead_pct"] == pytest.approx(10.0)

@@ -6,14 +6,13 @@ and SAT solver per query; installed by the ``one_shot_smt`` fixture) on
 every benchmark port and module project: byte-equal diagnostics, byte-equal
 inferred kappa refinements, the same verdicts.  It must get there with
 strictly fewer SAT searches (``sat_calls``) than the one-shot engine, and
-with no more than the bound over ``benchmarks/baseline.json``'s ``smt``
-section.  This is the system-level counterpart of the per-formula
-differential fuzzer in ``test_smt_fuzz.py``.
+with no more than the bound over the recorded :data:`SAT_BASELINE`.  This
+is the system-level counterpart of the per-formula differential fuzzer in
+``test_smt_fuzz.py``.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
@@ -27,9 +26,17 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PROGRAMS = ROOT / "benchmarks" / "programs"
 MODULES = ROOT / "benchmarks" / "modules"
 
-#: Per-port ``incremental_sat_calls`` recorded in the baseline.
-SAT_BASELINE = json.loads(
-    (ROOT / "benchmarks" / "baseline.json").read_text())["smt"]
+#: SAT searches (``sat_calls``) the context engine issued per port when
+#: recorded; refresh after an intentional solver change.
+SAT_BASELINE = {
+    "navier-stokes": 140,
+    "splay": 320,
+    "richards": 301,
+    "raytrace": 211,
+    "transducers": 230,
+    "d3-arrays": 324,
+    "tsc-checker": 92,
+}
 
 #: Allowed growth over the baseline's SAT searches: 25%, or 5 searches for
 #: small counts, whichever is larger.
@@ -62,7 +69,7 @@ def test_port_equivalence_and_fewer_sat_calls(name, one_shot_smt):
         f"{name}: contexts issued {sat_calls} SAT searches, the one-shot "
         f"engine {reference.stats.sat_calls} — the context layer stopped "
         "paying for itself")
-    base = SAT_BASELINE[name]["incremental_sat_calls"]
+    base = SAT_BASELINE[name]
     assert sat_calls <= max(base * (1.0 + SAT_THRESHOLD), base + 5), (
         f"{name}: contexts issued {sat_calls} SAT searches, baseline {base} "
         f"(+{SAT_THRESHOLD:.0%} allowed)")
